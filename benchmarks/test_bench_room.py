@@ -10,11 +10,7 @@ grows with rack count (the near-linear-scaling check).
 
 The stacked run must stay on an array path end to end - the backend and
 controller-backend assertions run in smoke mode too, so CI fails if the
-room path ever falls back to scalar.  The fused-vs-vectorized benchmark
-races the per-window fused kernel against the per-``dt`` vectorized
-stepper on the 16x16 room and gates the ratio (measured ~1.8x; the 4M
-server-steps/sec target needs a compiled kernel - per-server workload
-RNG alone floors the lane near 3.3M, see docs/backends.md).
+room path ever falls back to scalar.
 """
 
 from __future__ import annotations
@@ -43,9 +39,7 @@ def _room_config(n_racks: int) -> RoomConfig:
     )
 
 
-def _stacked_elapsed(
-    n_racks: int, backend: str = "vectorized"
-) -> tuple[float, dict]:
+def _stacked_elapsed(n_racks: int) -> tuple[float, dict]:
     """Best-of-N wall time for one stacked room run (asserts no fallback).
 
     Returns the elapsed time and the run's extras so the recorded JSON
@@ -58,16 +52,14 @@ def _stacked_elapsed(
             _room_config(n_racks), duration_s=_DURATION_S, seed=1
         )
         sim = RoomSimulator(
-            room, dt_s=_DT_S, record_decimation=10, backend=backend
+            room, dt_s=_DT_S, record_decimation=10, backend="vectorized"
         )
         start = time.perf_counter()
         result = sim.run(_DURATION_S)
         best = min(best, time.perf_counter() - start)
         extras = result.extras
-        assert extras["backend"] == backend
+        assert extras["backend"] == "vectorized"
         assert extras["controller_backend"] == "vectorized"
-        if backend == "fused":
-            assert extras["scan_impl"] in ("numba", "numpy")
     return best, extras
 
 
@@ -148,41 +140,3 @@ def test_room_scaling_with_rack_count(n_racks):
         stacked_server_steps_per_sec=round(server_steps / elapsed, 1),
     )
 
-
-#: Racks in the fused-vs-vectorized room race (smaller in smoke mode so
-#: the CI job stays fast; the assertions still exercise the fused lane).
-_FUSED_N_RACKS = 4 if smoke_mode() else 16
-
-#: Floor for the fused/vectorized stacked ratio at room scale, with
-#: headroom below the measured ~1.8x so host noise does not flake CI.
-_MIN_FUSED_ROOM_RATIO = 1.35
-
-
-def test_room_fused_vs_vectorized_stacked():
-    """The fused-kernel headline at room scale: one (R*B,)-wide window
-    kernel vs the per-dt vectorized stepper on the same stacked room."""
-    n_steps = int(round(_DURATION_S / _DT_S))
-    server_steps = _FUSED_N_RACKS * _SERVERS_PER_RACK * n_steps
-    vectorized, _ = _stacked_elapsed(_FUSED_N_RACKS, backend="vectorized")
-    fused, extras = _stacked_elapsed(_FUSED_N_RACKS, backend="fused")
-    ratio = vectorized / fused
-    bench_record(
-        "fleet",
-        f"room{_FUSED_N_RACKS}x{_SERVERS_PER_RACK}_fused",
-        n_racks=_FUSED_N_RACKS,
-        servers_per_rack=_SERVERS_PER_RACK,
-        n_steps=n_steps,
-        dt_s=_DT_S,
-        backend=extras["backend"],
-        controller_backend=extras["controller_backend"],
-        scan_impl=extras["scan_impl"],
-        vectorized_server_steps_per_sec=round(server_steps / vectorized, 1),
-        fused_server_steps_per_sec=round(server_steps / fused, 1),
-        fused_vs_vectorized=round(ratio, 2),
-    )
-    if not smoke_mode():
-        assert ratio >= _MIN_FUSED_ROOM_RATIO, (
-            f"fused/vectorized stacked ratio degraded to {ratio:.2f}x "
-            f"(floor {_MIN_FUSED_ROOM_RATIO}x at "
-            f"{_FUSED_N_RACKS}x{_SERVERS_PER_RACK})"
-        )

@@ -7,7 +7,7 @@ implementations exist to reproduce that failure and to benchmark the
 adaptive PID against.
 
 Backend note: racks hosting these controllers still run their
-plant/sensing on the array lanes (vectorized or fused), but the control
+plant/sensing on the array lane, but the control
 step demotes per server to these scalar objects -
 ``batch_controller_unsupported_reason`` only vets the stock
 adaptive-PID composition.  The benchmark no-silent-fallback gates

@@ -16,11 +16,11 @@ same-shape tasks** (equal server count and time grid) so one worker
 stacks several racks into a single ``(n_racks * B,)`` batch via
 :func:`repro.room.stack.run_stacked_racks` - block-diagonal coupling,
 so every result stays bit-for-bit identical to its solo run while the
-per-``dt`` Python dispatch is paid once per chunk instead of once per
-rack.  The chunk each result rode in is recorded under
-``result.extras["chunk"]``.  Set ``chunk_size=1`` to force one rack per
-task, or ``CampaignTask.backend="scalar"`` to force the reference loop,
-e.g. when profiling or bisecting a backend discrepancy.
+Python dispatch is paid once per chunk instead of once per rack.  The
+chunk each result rode in is recorded under ``result.extras["chunk"]``.
+Set ``chunk_size=1`` to force one rack per task, or
+``CampaignTask.backend="scalar"`` to force the reference loop, e.g.
+when profiling or bisecting a backend discrepancy.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.obs.collector import ObsCollector, ObsConfig, merge_summaries
 from repro.obs.sinks import QueueSink
 from repro.sim.parallel import parallel_map, resolve_workers
 
-#: Default racks per stacked chunk.  Past ~4 racks the per-``dt``
+#: Default racks per stacked chunk.  Past ~4 racks the Python
 #: dispatch is already well amortized and wider stacks only grow worker
 #: payloads, so the default stays modest.
 DEFAULT_CHUNK_SIZE = 4

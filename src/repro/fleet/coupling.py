@@ -11,7 +11,7 @@ instead of returning to the CRAC.  This module provides the two halves:
 * :class:`CouplingOperator` - the linear-operator contract every
   coupling representation implements: map per-server exhaust rises to
   per-server inlet offsets.  Simulation drivers (``Rack.update_inlets``,
-  the batch backend's per-``dt`` coupling step) only ever call
+  the batch backend's per-step coupling) only ever call
   :meth:`CouplingOperator.apply`, so dense rack matrices and the
   room-scale block-sparse operator (:class:`repro.room.coupling.
   SparseCoupling`) are interchangeable.
@@ -163,23 +163,6 @@ class CouplingOperator(ABC):
             )
         return self.apply(rises)
 
-    def apply_window(self, rises_c: np.ndarray) -> np.ndarray:
-        """Apply the operator to a ``(n_servers, w)`` window of rises.
-
-        Column ``j`` of the result is ``apply(rises_c[:, j])``.  The
-        base implementation loops the columns through :meth:`apply`,
-        which keeps *stateful* operators exact - a dynamic supply
-        filter advances once per column, just as it advances once per
-        step on the scalar and vectorized lanes.  Purely linear
-        subclasses override this with one batched matmul; the fused
-        backend calls it once per control window instead of once per
-        ``dt``.
-        """
-        out = np.empty_like(rises_c)
-        for j in range(rises_c.shape[1]):
-            out[:, j] = self.apply(rises_c[:, j])
-        return out
-
 
 class RecirculationMatrix(CouplingOperator):
     """Dense mixing matrix mapping exhaust rises to inlet offsets.
@@ -246,10 +229,6 @@ class RecirculationMatrix(CouplingOperator):
 
     def apply(self, rises_c: np.ndarray) -> np.ndarray:
         """``M @ rises`` with no validation (the per-step hot path)."""
-        return self._m @ rises_c
-
-    def apply_window(self, rises_c: np.ndarray) -> np.ndarray:
-        """``M @ rises`` on a whole ``(n, w)`` window as one gemm."""
         return self._m @ rises_c
 
     def to_dense(self) -> np.ndarray:

@@ -2,25 +2,21 @@
 
 :class:`FleetSimulator` advances every server in a
 :class:`~repro.fleet.rack.Rack` through the same time grid, with two
-interchangeable execution backends:
+interchangeable execution lanes:
 
 * ``"scalar"`` - one :class:`~repro.sim.engine.ServerStepper` per slot,
   the exact loop body single-server runs use, not a reimplementation.
   Once per step the rack coupling turns the previous step's exhaust
   states into fresh inlet offsets, then all steppers advance by ``dt``.
-* ``"vectorized"`` - the :class:`~repro.sim.batch.BatchStepper` array
-  backend: all servers advance as ``(B,)`` NumPy operations per ``dt``,
-  with only the per-CPU-period control decisions going through the
-  scalar controller objects.  Results are bit-for-bit identical to the
-  scalar backend for every rack built from the stock library classes;
-  racks the batch backend cannot represent (time-varying ambients,
-  custom plant/sensor subclasses, pre-used sensors) fall back to the
-  scalar path automatically.
-* ``"fused"`` - the :class:`~repro.sim.fused.FusedStepper` window
-  backend: same representability rules and fallback behaviour as
-  vectorized, but the per-``dt`` array work collapses into one set of
-  matrix ops per control window.  Equivalence is tier B (tolerances,
-  not bits) - see ``docs/backends.md``.
+* ``"vectorized"`` (alias ``"fused"``) - the
+  :class:`~repro.sim.batch.BatchStepper` array lane: all servers
+  advance as NumPy operations, one control window at a time, with the
+  per-CPU-period control decisions going through the vectorized
+  controller.  Results are bit-for-bit identical to the scalar backend
+  for every rack built from the stock library classes; racks the batch
+  lane cannot represent (time-varying ambients, custom plant/sensor
+  subclasses, pre-used sensors) fall back to the scalar path
+  automatically.
 
 ``backend="auto"`` (the default) picks vectorized whenever the rack
 supports it.  With a decoupled rack the scalar and vectorized backends
@@ -38,7 +34,6 @@ from repro.errors import SimulationError
 from repro.fleet.rack import Rack
 from repro.fleet.result import FleetResult
 from repro.obs.collector import resolve_obs
-from repro.sim.backends import stepper_backend
 from repro.sim.batch import BatchStepper, batch_unsupported_reason
 from repro.sim.engine import ServerStepper
 from repro.units import check_duration
@@ -65,9 +60,9 @@ class FleetSimulator:
         :class:`~repro.sim.engine.Simulator`).
     backend:
         ``"auto"`` (vectorized when the rack supports it), ``"scalar"``,
-        ``"vectorized"``, or ``"fused"`` (the batch backends fall back
-        to scalar - recorded in the result's ``extras`` - when the rack
-        cannot batch).
+        ``"vectorized"``, or its alias ``"fused"`` (the batch lane falls
+        back to scalar - recorded in the result's ``extras`` - when the
+        rack cannot batch).
     faults:
         Optional :class:`~repro.faults.events.FaultSchedule` applied to
         the run on either backend (bit-for-bit identically); the run's
@@ -205,12 +200,7 @@ class FleetSimulator:
         batch_backend = (
             "fused" if self._backend == "fused" else "vectorized"
         )
-        stepper_cls = (
-            stepper_backend(batch_backend)
-            if batch_backend != "vectorized"
-            else BatchStepper
-        )
-        stepper = stepper_cls(
+        stepper = BatchStepper(
             plants=[slot.plant for slot in rack],
             sensors=[slot.sensor for slot in rack],
             workloads=[slot.workload for slot in rack],
@@ -233,9 +223,6 @@ class FleetSimulator:
             [f"{label}/{slot.name}" for slot in rack]
         )
         extras = {"backend": batch_backend}
-        scan_impl = getattr(stepper, "scan_impl", None)
-        if scan_impl is not None:
-            extras["scan_impl"] = scan_impl
         fallbacks = stepper.controller_fallbacks
         if not fallbacks:
             extras["controller_backend"] = "vectorized"

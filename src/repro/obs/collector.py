@@ -325,15 +325,15 @@ class ObsCollector:
     def phase_add(self, name: str, duration_s: float, count: int = 1) -> None:
         """Fold a pre-accumulated phase total into the accumulators.
 
-        The vectorized lanes accumulate phase time in chunk-local floats
+        The batch lane accumulates phase time in chunk-local floats
         and flush once per chunk through this method - per-``dt``
         :meth:`phase` calls there would cost more than the work they
         time.  No trace span is recorded: an aggregate has no single
         ``[start, end)`` interval.
 
         The ``<name>_seconds`` histogram receives one sample per flush
-        (the chunk aggregate), so on the batch lanes its quantiles
-        describe per-window phase cost rather than per-``dt`` cost -
+        (the chunk aggregate), so on the batch lane its quantiles
+        describe per-chunk phase cost rather than per-``dt`` cost -
         documented in ``docs/observability.md``.
         """
         acc = self._phases.get(name)

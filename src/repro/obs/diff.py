@@ -1,6 +1,6 @@
 """First-divergence locator for runs, results, and golden traces.
 
-The two-tier backend contract (docs/backends.md) and the golden-trace
+The bit-for-bit backend contract (docs/backends.md) and the golden-trace
 suite tell you *that* two runs differ; this module tells you *where*:
 the first recorded step and channel at which two runs part ways, with
 both values and the simulation time.  That turns a conformance or
@@ -18,9 +18,9 @@ payloads with a ``racks`` list).  The API works on any channel mapping:
 :func:`diff_vs_golden` for a fresh result against a committed fixture.
 
 Comparisons are exact by default (NaN == NaN, so dropout windows do not
-read as divergence); pass ``rtol``/``atol`` to compare the fused
-backend's tolerance-bounded thermal channels, or restrict to
-:data:`DECISION_CHANNELS` - the channels tier B pins bitwise.
+read as divergence); pass ``rtol``/``atol`` for a looser comparison,
+or restrict to :data:`DECISION_CHANNELS` - the channels that carry the
+control loop's decisions.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ __all__ = [
     "main",
 ]
 
-#: Channels the tier-B fused contract pins *bitwise* across backends
-#: (docs/backends.md); thermal state channels are tolerance-bounded.
+#: Channels that carry the control loop's decisions (the rest are the
+#: plant's thermal trajectories).
 DECISION_CHANNELS = (
     "time",
     "tmeas",
@@ -314,8 +314,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--decision-only",
         action="store_true",
         help=(
-            "compare only the decision channels the tier-B fused "
-            "contract pins bitwise: " + ", ".join(DECISION_CHANNELS)
+            "compare only the decision channels: "
+            + ", ".join(DECISION_CHANNELS)
         ),
     )
     parser.add_argument(

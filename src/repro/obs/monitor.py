@@ -39,10 +39,10 @@ identical to a bare run on every lane.
 Cross-lane incident identity
 ----------------------------
 
-Detectors consume only the decision channels the tier-B backend
-contract pins **exactly** across scalar / vectorized / fused (measured
-temperature, commanded fan, applied utilization; see docs/backends.md).
-The batch lanes cast array entries to python floats and run the very
+Detectors consume only decision channels (measured temperature,
+commanded fan, applied utilization), which the backend contract pins
+**exactly** across scalar / vectorized / fused (see docs/backends.md).
+The batch lane casts array entries to python floats and runs the very
 same per-server update code as the scalar lane, so the incident list is
 identical -- not merely close -- whichever backend produced the run.
 """

@@ -217,11 +217,6 @@ class SparseCoupling(CouplingOperator):
                         )
                 self._crac_unit_rows = rows
 
-        # Lazily-built (R, B, B) stack of the diagonal blocks for
-        # apply_window's batched matmul; False marks ragged block sizes
-        # (fall back to the per-rack loop).
-        self._stacked: np.ndarray | bool | None = None
-
     # ------------------------------------------------------------------
     # Construction helpers
 
@@ -405,50 +400,6 @@ class SparseCoupling(CouplingOperator):
                 target = self._mix @ rises_c + self._forcing
                 self._states = target + (self._states - target) * self._decay
                 out += self._gain.T @ self._states
-        return out
-
-    def apply_window(self, rises_c: np.ndarray) -> np.ndarray:
-        """Block-sparse mat-*mat* over a ``(N, w)`` window of rises.
-
-        The static operator is linear, so a whole control window
-        collapses into batched gemms: one stacked ``(R, B, B) @
-        (R, B, w)`` matmul when every rack has the same width (one
-        gemm per rack otherwise), one gemm per stored cross block, and
-        two gemms for the low-rank term.  This replaces the fused
-        backend's would-be per-step Python loop over racks.
-
-        Dynamic operators carry supply-filter state that must advance
-        once per step, so they take the base class's per-column path -
-        same states, same order, same floats as stepping :meth:`apply`.
-        """
-        if self._tau is not None:
-            return CouplingOperator.apply_window(self, rises_c)
-        out = np.empty(rises_c.shape)
-        stacked = self._stacked
-        if stacked is None:
-            sizes = {b.shape[0] for b in self._blocks}
-            if len(sizes) == 1 and len(self._blocks) > 1:
-                stacked = np.ascontiguousarray(np.stack(self._blocks))
-            else:
-                stacked = False
-            self._stacked = stacked
-        if stacked is not False:
-            r, b, _ = stacked.shape
-            w = rises_c.shape[1]
-            np.matmul(
-                stacked,
-                rises_c.reshape(r, b, w),
-                out=out.reshape(r, b, w),
-            )
-        else:
-            for start, stop, block in zip(self._starts, self._stops, self._blocks):
-                out[start:stop] = block @ rises_c[start:stop]
-        for (dst, src), matrix in self._cross.items():
-            out[self._starts[dst] : self._stops[dst]] += (
-                matrix @ rises_c[self._starts[src] : self._stops[src]]
-            )
-        if self._gain is not None:
-            out += self._gain.T @ (self._mix @ rises_c)
         return out
 
     # ------------------------------------------------------------------

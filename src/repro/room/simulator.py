@@ -4,17 +4,13 @@
 :class:`~repro.room.room.Room` through the same time grid, mirroring
 :class:`~repro.fleet.simulator.FleetSimulator` one level up:
 
-* ``"vectorized"`` - all racks stack into **one** ``(R*B,)``-wide
-  :class:`~repro.sim.batch.BatchStepper` (via
+* ``"vectorized"`` (alias ``"fused"``) - all racks stack into **one**
+  ``(R*B,)``-wide :class:`~repro.sim.batch.BatchStepper` (via
   :mod:`repro.room.stack`), with the room's
   :class:`~repro.room.coupling.SparseCoupling` applied as a block-sparse
   mat-vec once per ``dt``.  This is the room's native execution model:
-  the per-``dt`` Python dispatch is paid once for the whole room
-  instead of once per rack.
-* ``"fused"`` - the same ``(R*B,)`` stacking executed by the
-  window-fused :class:`~repro.sim.fused.FusedStepper`, which advances
-  whole control windows per dispatch (tier-B equivalence, see
-  ``docs/backends.md``).
+  the Python dispatch is paid once for the whole room instead of once
+  per rack.
 * ``"scalar"`` - one :class:`~repro.sim.engine.ServerStepper` per
   server with :meth:`Room.update_inlets` once per step; the bit-for-bit
   reference the stacked path is tested against.
@@ -236,9 +232,6 @@ class RoomSimulator:
             stepper, room.racks, self._rack_labels(label), backend=batch_backend
         )
         extras = {"backend": batch_backend}
-        scan_impl = getattr(stepper, "scan_impl", None)
-        if scan_impl is not None:
-            extras["scan_impl"] = scan_impl
         fallbacks = stepper.controller_fallbacks
         if not fallbacks:
             extras["controller_backend"] = "vectorized"

@@ -1,7 +1,7 @@
 """Stacked-batch execution: many same-shape racks as one ``(R*B,)`` batch.
 
-The vectorized backend's throughput comes from amortizing the per-``dt``
-Python dispatch over the batch width, so R racks of B servers run faster
+The batch lane's throughput comes from amortizing its Python dispatch
+over the batch width, so R racks of B servers run faster
 as **one** ``(R*B,)``-wide :class:`~repro.sim.batch.BatchStepper` than
 as R separate ``(B,)`` runs - the whole point of the room subsystem's
 execution model, and equally useful for campaigns that happen to hold
@@ -24,8 +24,11 @@ from repro.errors import SimulationError
 from repro.fleet.rack import Rack
 from repro.fleet.result import FleetResult
 from repro.room.coupling import SparseCoupling
-from repro.sim.backends import stepper_backend
-from repro.sim.batch import BatchStepper, batch_unsupported_reason
+from repro.sim.batch import (
+    BatchStepper,
+    batch_unsupported_reason,
+    check_batch_backend,
+)
 from repro.units import check_duration
 from repro.workload.performance import DeadlineTracker
 
@@ -72,13 +75,14 @@ def stacked_stepper(
 ) -> BatchStepper:
     """Build the ``(R*B,)`` batch stepper for a stack of racks.
 
-    ``backend`` names the batch stepper lane (``"vectorized"`` or any
-    name registered in :mod:`repro.sim.backends`, e.g. ``"fused"``).
-    Raises :class:`~repro.errors.SimulationError` when the stack cannot
-    batch; callers wanting a silent fallback should consult
+    ``backend`` names the batch lane (``"vectorized"`` or its alias
+    ``"fused"``) and is recorded in each result's ``extras``.  Raises
+    :class:`~repro.errors.SimulationError` when the stack cannot batch;
+    callers wanting a silent fallback should consult
     :func:`stacked_unsupported_reason` first - and may then pass
     ``precheck=False`` to skip revalidating the same racks.
     """
+    check_batch_backend(backend)
     if precheck:
         reason = stacked_unsupported_reason(racks, coupling)
         if reason is not None:
@@ -86,10 +90,7 @@ def stacked_stepper(
     if coupling is None:
         coupling = SparseCoupling.from_racks(racks)
     slots = [slot for rack in racks for slot in rack]
-    stepper_cls = (
-        BatchStepper if backend == "vectorized" else stepper_backend(backend)
-    )
-    return stepper_cls(
+    return BatchStepper(
         plants=[slot.plant for slot in slots],
         sensors=[slot.sensor for slot in slots],
         workloads=[slot.workload for slot in slots],
@@ -148,9 +149,6 @@ def split_stacked_results(
                 "position": position,
             },
         }
-        scan_impl = getattr(stepper, "scan_impl", None)
-        if scan_impl is not None:
-            extras["scan_impl"] = scan_impl
         if not rack_fallbacks:
             extras["controller_backend"] = "vectorized"
         elif len(rack_fallbacks) == rack.n_servers:

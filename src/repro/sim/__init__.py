@@ -12,7 +12,8 @@
 * :mod:`repro.sim.batch` - the vectorized batch backend
   (:class:`~repro.sim.batch.BatchStepper`,
   :func:`~repro.sim.batch.run_batch`): whole racks and sweep grids as
-  ``(B,)`` array ops per ``dt``, bit-for-bit with the scalar engine.
+  array ops, one control window at a time, bit-for-bit with the scalar
+  engine.
 * :mod:`repro.sim.batch_control` - the vectorized controller backend
   (:class:`~repro.sim.batch_control.BatchGlobalController`): the common
   DTM composition advanced for all servers as array ops at CPU-period

@@ -1,4 +1,4 @@
-"""Vectorized batch execution backend: B servers per ``dt`` as array ops.
+"""Batch execution backend: B servers as array ops, a window at a time.
 
 The scalar engine advances one server per Python call chain
 (:class:`~repro.sim.engine.ServerStepper` -> plant -> two RC nodes ->
@@ -15,19 +15,22 @@ rack or a sweep grid pays the whole interpreter overhead B times per
 * :class:`BatchSensorBank` - the noise -> ADC -> transport-delay pipeline
   over arrays, with noise drawn from each server's own seeded generator
   in the same order as the scalar path, so runs stay reproducible.
-* :class:`BatchStepper` - the lockstep loop: demand traces are evaluated
-  up front (:meth:`~repro.workload.base.Workload.demand_array`), the
-  per-``dt`` plant/sensing/energy/telemetry work is array math, and the
-  control decisions - which fire once per CPU period, not per ``dt`` -
-  run through the vectorized
-  :class:`~repro.sim.batch_control.BatchGlobalController` for every
-  server whose DTM is a stock composition (adaptive-PID fan + deadzone
-  capper + rule-based/E-coord/uncoordinated coordination + optional
-  A-Tref + optional SSfan - every Table III scheme), with a per-server
-  fallback to the scalar controller objects for anything else
-  (subclasses, non-stock models).  Equivalence with the scalar engine
-  is structural either way, not approximate: the same floating-point
-  operations run in the same order, just element-wise.
+* :class:`BatchStepper` - the lockstep loop.  Demand traces are
+  evaluated up front (:meth:`~repro.workload.base.Workload.demand_array`).
+  Between two control decisions the loop is open, so the horizon is cut
+  into *windows* that end at each control-due step, and each window's
+  power, coupling, thermal and energy work runs as ``(w, B)`` array
+  ops; sensing, monitoring and telemetry keep their per-step cadence.
+  The control decisions - once per CPU period - run through the
+  vectorized :class:`~repro.sim.batch_control.BatchGlobalController`
+  for every server whose DTM is a stock composition (adaptive-PID fan +
+  deadzone capper + rule-based/E-coord/uncoordinated coordination +
+  optional A-Tref + optional SSfan - every Table III scheme), with a
+  per-server fallback to the scalar controller objects for anything
+  else (subclasses, non-stock models).  Equivalence with the scalar
+  engine is structural, not approximate: the same floating-point
+  operations run in the same order, just element-wise, so results
+  match bit for bit.
 
 Heterogeneous *parameters* (per-server sensing quality, workloads,
 power envelopes) batch fine; heterogeneous *structure* (time-varying
@@ -67,6 +70,19 @@ from repro.workload.performance import DeadlineTracker
 #: Demand traces are evaluated this many steps at a time, bounding the
 #: precompute buffer at ``B * _CHUNK_STEPS`` floats for long horizons.
 _CHUNK_STEPS = 4096
+
+#: Batch-lane names the drivers accept.  ``"fused"`` is an alias of
+#: ``"vectorized"``: both run :class:`BatchStepper`.
+BATCH_BACKENDS = ("vectorized", "fused")
+
+
+def check_batch_backend(name: str) -> str:
+    """Return ``name`` if it names the batch lane, else raise."""
+    if name not in BATCH_BACKENDS:
+        raise SimulationError(
+            f"unknown batch backend {name!r}; choose from {BATCH_BACKENDS}"
+        )
+    return name
 
 
 def batch_unsupported_reason(
@@ -496,8 +512,7 @@ class BatchThermalPlant:
         self.clamped_speed = np.zeros(n)
         # Monotonic coefficient-change counter.  The coefficient arrays
         # are mutated *in place* (array identity never changes), so any
-        # cache derived from them - the fused backend's window power
-        # matrices in particular - must key on this counter, not on
+        # cache derived from them must key on this counter, not on
         # id(hs_decay).  Bumped by every apply_fan_speed/set_fouling.
         self.version = 0
 
@@ -561,22 +576,40 @@ class BatchThermalPlant:
         self.fan_w = self.fan_w.copy()
         self.clamped_speed = self.clamped_speed.copy()
 
-    def advance(
-        self, ambient_c: np.ndarray, applied_util: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One exact-exponential step for all servers.
+    def advance_window(
+        self, ambient_c: np.ndarray, socket_power: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact-exponential steps for all servers, one per window row.
 
-        Returns ``(junction, heatsink, cpu_power)`` arrays; fan power is
-        exposed as :attr:`fan_w` (it only changes with the fan level).
+        ``socket_power`` is ``(w, B)``; ``ambient_c`` is ``(w, B)`` or a
+        ``(B,)`` constant.  Each row runs the scalar nodes' update in
+        their order - heat sink ``hs = hs_ss + (hs - hs_ss) * decay``,
+        then the die riding on it - so the trajectories are bit-identical
+        to B scalar plants (IEEE ``+``/``*`` commute, so only the order
+        of the operations matters, not of their operands).  Returns
+        ``(junction, heatsink)`` of shape ``(w, B)``; the state is left at
+        their last rows.
         """
-        socket_power = self.p_static + self.p_dynamic * applied_util
-        hs_ss = ambient_c + self.r_hs * socket_power
-        hs = hs_ss + (self.hs_temp - hs_ss) * self.hs_decay
-        die_ss = hs + self.r_die * socket_power
-        die = die_ss + (self.die_temp - die_ss) * self.die_decay
+        hs_ss = self.r_hs * socket_power
+        hs_ss += ambient_c
+        die_ss = self.r_die * socket_power
+        hs_out = np.empty(hs_ss.shape)
+        die_out = np.empty(hs_ss.shape)
+        hs, die = self.hs_temp, self.die_temp
+        a_hs, a_die = self.hs_decay, self.die_decay
+        sub, mul, add = np.subtract, np.multiply, np.add
+        for s_hs, x_hs, s_die, x_die in zip(hs_ss, hs_out, die_ss, die_out):
+            sub(hs, s_hs, out=x_hs)
+            mul(x_hs, a_hs, out=x_hs)
+            add(x_hs, s_hs, out=x_hs)
+            add(s_die, x_hs, out=s_die)
+            sub(die, s_die, out=x_die)
+            mul(x_die, a_die, out=x_die)
+            add(x_die, s_die, out=x_die)
+            hs, die = x_hs, x_die
         self.hs_temp = hs
         self.die_temp = die
-        return die, hs, socket_power * self.n_sockets
+        return die_out, hs_out
 
     def check_finite(self) -> None:
         """Raise if the thermal state has diverged.
@@ -584,7 +617,7 @@ class BatchThermalPlant:
         sum() is non-finite iff any element is (NaN propagates, inf
         saturates or cancels to NaN) - one cheap reduction.  NaN/inf
         contamination is permanent once present, so the stepper probes
-        periodically instead of after every ``advance``.
+        once per window instead of after every step.
         """
         if not math.isfinite(float(self.die_temp.sum())):
             raise ThermalModelError("batch thermal state diverged")
@@ -683,9 +716,7 @@ class BatchStepper:
             # Hot-path handle on the CouplingOperator: dense racks run one
             # gemv, room-scale operators a block-sparse mat-vec.
             self._coupling_apply = coupling.apply
-            # Exhaust conductance depends only on the fan-speed array,
-            # which is replaced (never mutated) on fan changes, so cache
-            # it keyed on array identity.
+            # Identity-keyed cache of _conductance_of.
             self._conductance: np.ndarray | None = None
             self._conductance_for: np.ndarray | None = None
         else:
@@ -696,7 +727,7 @@ class BatchStepper:
         # Fault-injection hooks (repro.faults).  All transforms are the
         # same scalar-math state objects the scalar engine drives, so
         # fault-injected batches stay bit-for-bit equal to scalar runs;
-        # with no injector (or a clean schedule) every per-dt guard below
+        # with no injector (or a clean schedule) every per-window guard
         # reduces to one attribute/float check.
         self._injector = injector
         self._next_plant_change = math.inf
@@ -853,13 +884,23 @@ class BatchStepper:
             self._run_chunk(min(_CHUNK_STEPS, self._n_steps - self._k))
 
     def _run_chunk(self, m: int) -> None:
+        # Between two control decisions the loop is open: fan levels,
+        # caps, exhaust conductances and plant coefficients are frozen,
+        # demand is precomputed, and applied = min(demand, cap) makes the
+        # plant forcing feed-forward.  So the chunk is cut into windows -
+        # maximal step runs ending at (and including) the next
+        # control-due step and broken before any fault change instant -
+        # and each window's power, coupling and thermal work runs as
+        # (w, B) array ops.  Every value is still produced by the per-step
+        # float expressions of the scalar engine in the same order
+        # (window-major rows keep each step's vector C-contiguous), so
+        # the lane is bit-for-bit, not a tolerance.
+        #
         # Phase timing (repro.obs): adjacent phases share boundary
-        # timestamps, so each phase costs one clock read per dt.  Phase
-        # time accumulates in chunk-local floats and flushes once per
-        # chunk via phase_add - per-dt collector calls would cost more
-        # than the array work they time.  The demand precompute is a
-        # per-chunk "workload" phase; the scalar engine, which samples
-        # demand inline, folds it into "plant".
+        # timestamps and accumulate in chunk-local floats, flushed once
+        # per chunk via phase_add.  The demand precompute is a per-chunk
+        # "workload" phase; the scalar engine, which samples demand
+        # inline, folds it into "plant".
         obs = self._obs
         if obs is not None:
             _pc = time.perf_counter
@@ -867,9 +908,10 @@ class BatchStepper:
         start, dt, k0 = self._start, self._dt, self._k
         times = [start + (k + 1) * dt for k in range(k0, k0 + m)]
         times_arr = np.array(times)
-        demands = np.empty((self._n, m))
+        n = self._n
+        demands = np.empty((m, n))
         for i, workload in enumerate(self._workloads):
-            demands[i] = workload.demand_array(times_arr)
+            demands[:, i] = workload.demand_array(times_arr)
         if obs is not None:
             obs.phase("workload", t_prev, _pc())
             acc_faults = acc_coupling = acc_plant = 0.0
@@ -880,152 +922,198 @@ class BatchStepper:
         sensing = self._sensing
         observe = sensing.observe
         pop_until = sensing.pop_until
-        advance = plant.advance
         decimation = self._decimation
         channels = self._channels
         coupled = self._coupled
-        decoupled = coupled and self._decoupled
-        if coupled:
-            coupling_apply = None if decoupled else self._coupling_apply
-            room = self._room
-        else:
-            ambient = self._ambient_const
-        # The divergence guard costs one reduction per call; NaN/inf
-        # contamination persists once it appears, so probing every 32nd
-        # step (plus once at chunk end) detects it all the same.
         injector = self._injector
+        fan_fault_rows = self._fan_fault_rows
         monitor = self._monitor
-        for j in range(m):
-            t = times[j]
-            t_plus = t + 1e-9
+
+        j = 0
+        while j < m:
             if obs is not None:
                 t_prev = _pc()
-
             if injector is not None:
-                # Refresh cached plant coefficients when a fan/fouling
-                # transform steps to a new level, and advance any CRAC
-                # brownout forcing; both guards are one float compare
-                # against locally cached bounds on the (overwhelming
-                # majority of) steps with nothing due.
-                if t_plus >= self._next_plant_change:
+                # Refresh plant coefficients when a fan/fouling transform
+                # steps to a new level, and advance any CRAC brownout
+                # forcing; windows start at every such instant.
+                t0 = times[j]
+                t0_plus = t0 + 1e-9
+                if t0_plus >= self._next_plant_change:
                     self._refresh_faulted_plants(
-                        injector.pop_plant_changes(t), t
+                        injector.pop_plant_changes(t0), t0
                     )
                     self._next_plant_change = injector.next_plant_change_s
-                if t_plus >= self._next_crac_change:
-                    injector.poll_crac(t)
+                if t0_plus >= self._next_crac_change:
+                    injector.poll_crac(t0)
                     self._next_crac_change = injector.next_crac_change_s
                 if obs is not None:
                     t_now = _pc()
                     acc_faults += t_now - t_prev
                     t_prev = t_now
 
-            if coupled:
-                if decoupled:
-                    offsets = self._zero_offsets
-                else:
-                    speeds = self._state_fan_speed
-                    if self._conductance_for is not speeds:
-                        self._conductance = np.maximum(
-                            self._g_floor,
-                            self._g_max * speeds / self._v_max_exh,
-                        )
-                        self._conductance_for = speeds
-                    rises = (
-                        self._state_cpu_w + self._state_fan_w
-                    ) / self._conductance
-                    offsets = coupling_apply(rises)
-                self._last_offsets = offsets
-                ambient = room + offsets
-                if obs is not None:
-                    t_now = _pc()
-                    acc_coupling += t_now - t_prev
-                    t_prev = t_now
+            # Window discovery.  Ends *at* the first control-due step
+            # (the decision runs after that step's physics) and *before*
+            # any step with a fault change due.
+            next_change = min(self._next_plant_change, self._next_crac_change)
+            ctl_bound = self._next_control_min
+            ctl = False
+            e = j
+            while True:
+                t_i_plus = times[e] + 1e-9
+                if e > j and t_i_plus >= next_change:
+                    break
+                ctl = ctl_bound <= t_i_plus
+                e += 1
+                if ctl or e >= m:
+                    break
+            w = e - j
 
-            demand = demands[:, j]
-            applied = np.minimum(demand, self._cap)
-            die, hs, cpu_w = advance(ambient, applied)
-            if not (j & 31):
-                plant.check_finite()
-            # No copies: apply_fan_speed detaches these arrays before
-            # mutating them (BatchThermalPlant.snapshot_fan_state).
+            dem = demands[j:e]
+            applied = np.minimum(dem, self._cap)
+            socket_p = plant.p_static + plant.p_dynamic * applied
+            cpu_w = socket_p * plant.n_sockets
             fan_w = plant.fan_w
-            self._state_fan_speed = plant.clamped_speed
-            self._state_cpu_w = cpu_w
-            self._state_fan_w = fan_w
-            self._last_applied = applied
-            self._last_ambient = ambient
-
-            dt_energy = t - self._energy_last_t
-            self._cpu_j += 0.5 * (self._energy_last_cpu + cpu_w) * dt_energy
-            self._fan_j += 0.5 * (self._energy_last_fan + fan_w) * dt_energy
-            self._energy_last_cpu = cpu_w
-            self._energy_last_fan = fan_w
-            self._energy_last_t = t
             if obs is not None:
                 t_now = _pc()
                 acc_plant += t_now - t_prev
                 t_prev = t_now
 
-            observe(t, t_plus, die)
-            pop_until(t)
-
             if coupled:
-                self._inlet_sums += ambient
-            if obs is not None:
-                t_now = _pc()
-                acc_sensing += t_now - t_prev
-                t_prev = t_now
-
-            if self._next_control_min <= t_plus:
-                due = self._next_control <= t_plus
-                due_idx = np.nonzero(due)[0]
-                self._control_step(due_idx, t, t_plus, demand, applied)
-                self._next_control_min = float(self._next_control.min())
+                ambient = self._window_ambient(cpu_w, fan_w)
                 if obs is not None:
                     t_now = _pc()
-                    acc_control += t_now - t_prev
+                    acc_coupling += t_now - t_prev
                     t_prev = t_now
-                    n_control += 1
-                    ctl_due += due_idx.size
+            else:
+                ambient = self._ambient_const
+                self._last_ambient = ambient
 
-            # Health monitoring: same due test as the scalar lane
-            # (identical floats: t comes from the same start+(k+1)*dt
-            # product), sampling the post-control decision channels.
-            if monitor is not None and t_plus >= monitor.next_due_s:
-                monitor.ingest_batch(t, sensing.current, self._fan_cmd, applied)
-                t_now = _pc()
-                acc_monitor += t_now - t_prev
-                t_prev = t_now
-                n_monitor += 1
+            die_out, hs_out = plant.advance_window(ambient, socket_p)
+            plant.check_finite()
 
-            k = k0 + j
-            if k % decimation == 0:
-                r = self._record_idx
-                channels["time"][:, r] = t
-                channels["junction"][:, r] = die
-                channels["heatsink"][:, r] = hs
-                channels["tmeas"][:, r] = sensing.current
-                channels["fan_speed"][:, r] = self._fan_cmd
-                if self._fan_fault_rows:
-                    # Telemetry shows the tachometer's view of the speed
-                    # the fan actually runs at (same transforms, same t,
-                    # as the scalar engine's record path).
-                    for i in self._fan_fault_rows:
-                        state = self._fan_fault_states[i]
-                        channels["fan_speed"][i, r] = state.reported(
-                            t, state.actual(t, float(self._fan_cmd[i]))
-                        )
-                channels["cpu_cap"][:, r] = self._cap
-                channels["demand"][:, r] = demand
-                channels["applied"][:, r] = applied
-                channels["t_ref"][:, r] = self._t_ref
-                self._record_idx = r + 1
-                if obs is not None:
-                    acc_record += _pc() - t_prev
-                    n_record += 1
+            # Mirrors hold row views (window buffers are never written
+            # again); fan_w/clamped references detach on the next fan
+            # change (copy-on-write in the plant).
+            last_cpu = cpu_w[-1]
+            self._state_fan_speed = plant.clamped_speed
+            self._state_cpu_w = last_cpu
+            self._state_fan_w = fan_w
+            self._last_applied = applied[-1]
+
+            # Trapezoidal energy, accumulated step by step like
+            # EnergyAccountant: row 0 holds the running totals, row c + 1
+            # step c's terms, and np.add.accumulate adds them strictly in
+            # row order (a sum or matmul may reassociate).  Within the
+            # window the fan term 0.5 * (f + f) * dt is exactly f * dt.
+            dts = np.empty((w, 1))
+            dts[0] = times[j] - self._energy_last_t
+            if w > 1:
+                np.subtract(
+                    times_arr[j + 1 : e], times_arr[j : e - 1], out=dts[1:, 0]
+                )
+            energy = np.empty((w + 1, 2, n))
+            energy[0] = self._cpu_j, self._fan_j
+            cpu_terms = energy[1:, 0]
+            cpu_terms[0] = self._energy_last_cpu
+            cpu_terms[1:] = cpu_w[:-1]
+            cpu_terms += cpu_w
+            cpu_terms *= 0.5
+            cpu_terms *= dts
+            fan_terms = energy[1:, 1]
+            np.multiply(fan_w, dts, out=fan_terms)
+            fan_terms[0] = 0.5 * (self._energy_last_fan + fan_w) * dts[0]
+            self._cpu_j, self._fan_j = np.add.accumulate(energy)[-1]
+            self._energy_last_cpu = last_cpu
+            self._energy_last_fan = fan_w
+            self._energy_last_t = times[e - 1]
             if obs is not None:
-                obs.tick(t, self._n)
+                t_now = _pc()
+                acc_plant += t_now - t_prev
+                t_prev = t_now
+
+            # Per-step tail: sensing cadence, the window-ending control
+            # decision, monitoring and telemetry.  The compares mirror
+            # the early-return bounds inside observe/pop_until.
+            for c in range(w):
+                kk = j + c
+                t = times[kk]
+                t_plus = t + 1e-9
+                if sensing._next_due <= t_plus:
+                    observe(t, t_plus, die_out[c])
+                if sensing._next_arrival <= t:
+                    pop_until(t)
+                if ctl and c == w - 1:
+                    if obs is not None:
+                        t_now = _pc()
+                        acc_sensing += t_now - t_prev
+                        t_prev = t_now
+                    if self._ctrl_uniform:
+                        # One shared period: due is always whole-rack.
+                        due_idx = self._all_idx
+                    else:
+                        due = self._next_control <= t_plus
+                        due_idx = np.nonzero(due)[0]
+                    self._control_step(due_idx, t, t_plus, dem[c], applied[c])
+                    self._next_control_min = float(self._next_control.min())
+                    if obs is not None:
+                        t_now = _pc()
+                        acc_control += t_now - t_prev
+                        t_prev = t_now
+                        n_control += 1
+                        ctl_due += due_idx.size
+                # Health monitoring: same due test as the scalar lane
+                # (identical floats: t comes from the same start+(k+1)*dt
+                # product), sampling the post-control decision channels.
+                # A non-None monitor implies a live collector.
+                if monitor is not None and t_plus >= monitor.next_due_s:
+                    t_now = _pc()
+                    acc_sensing += t_now - t_prev
+                    t_prev = t_now
+                    monitor.ingest_batch(
+                        t, sensing.current, self._fan_cmd, applied[c]
+                    )
+                    t_now = _pc()
+                    acc_monitor += t_now - t_prev
+                    t_prev = t_now
+                    n_monitor += 1
+                k = k0 + kk
+                if k % decimation == 0:
+                    if obs is not None:
+                        t_now = _pc()
+                        acc_sensing += t_now - t_prev
+                        t_prev = t_now
+                    r = self._record_idx
+                    channels["time"][:, r] = t
+                    channels["junction"][:, r] = die_out[c]
+                    channels["heatsink"][:, r] = hs_out[c]
+                    channels["tmeas"][:, r] = sensing.current
+                    channels["fan_speed"][:, r] = self._fan_cmd
+                    if fan_fault_rows:
+                        # Telemetry shows the tachometer's view of the
+                        # speed the fan actually runs at (same transforms,
+                        # same t, as the scalar engine's record path).
+                        for i in fan_fault_rows:
+                            state = self._fan_fault_states[i]
+                            channels["fan_speed"][i, r] = state.reported(
+                                t, state.actual(t, float(self._fan_cmd[i]))
+                            )
+                    channels["cpu_cap"][:, r] = self._cap
+                    channels["demand"][:, r] = dem[c]
+                    channels["applied"][:, r] = applied[c]
+                    channels["t_ref"][:, r] = self._t_ref
+                    self._record_idx = r + 1
+                    if obs is not None:
+                        t_now = _pc()
+                        acc_record += t_now - t_prev
+                        t_prev = t_now
+                        n_record += 1
+                if obs is not None:
+                    obs.tick(t, n)
+            if obs is not None:
+                acc_sensing += _pc() - t_prev
+            j = e
+
         if obs is not None:
             if injector is not None:
                 obs.phase_add("faults", acc_faults, m)
@@ -1040,8 +1128,61 @@ class BatchStepper:
                 obs.phase_add("monitor", acc_monitor, n_monitor)
             if n_record:
                 obs.phase_add("record", acc_record, n_record)
-        plant.check_finite()
         self._k = k0 + m
+
+    def _conductance_of(self, speeds: np.ndarray) -> np.ndarray:
+        """Exhaust conductance for a fan-speed array.
+
+        Fan-speed arrays are replaced (never mutated) on fan changes, so
+        the last result is cached keyed on array identity.
+        """
+        if self._conductance_for is not speeds:
+            self._conductance = np.maximum(
+                self._g_floor, self._g_max * speeds / self._v_max_exh
+            )
+            self._conductance_for = speeds
+        return self._conductance
+
+    def _window_ambient(self, cpu_w: np.ndarray, fan_w: np.ndarray) -> np.ndarray:
+        """Inlet ambients of a coupled window, one row per step.
+
+        Row 0 reads the lagged plant-state mirrors (exhaust of step k
+        feeds inlets at step k+1); later rows the frozen fan power and
+        the feed-forward CPU powers ``cpu_w`` - the values the per-step
+        mirror updates would hold.  The operator runs once per step on a
+        C-contiguous row: stateful operators (CRAC supply filters)
+        advance once per step, and every gemv sees the operands the
+        scalar lane hands it.  Also advances the mean-inlet running sums
+        (strictly in step order, like the energy totals) and the
+        offsets/ambient mirrors.
+        """
+        room = self._room
+        w, n = cpu_w.shape
+        sums = np.empty((w + 1, n))
+        sums[0] = self._inlet_sums
+        ambient = sums[1:]
+        if self._decoupled:
+            self._last_offsets = self._zero_offsets
+            ambient[:] = room + self._zero_offsets
+        else:
+            rises = np.empty((w, n))
+            np.divide(
+                self._state_cpu_w + self._state_fan_w,
+                self._conductance_of(self._state_fan_speed),
+                out=rises[0],
+            )
+            if w > 1:
+                np.divide(
+                    cpu_w[:-1] + fan_w,
+                    self._conductance_of(self._plant.clamped_speed),
+                    out=rises[1:],
+                )
+            np.stack(list(map(self._coupling_apply, rises)), out=ambient)
+            self._last_offsets = ambient[-1].copy()
+            ambient += room
+        self._last_ambient = ambient[-1]
+        self._inlet_sums = np.add.accumulate(sums)[-1]
+        return ambient
 
     def _refresh_faulted_plants(self, servers: Sequence[int], t: float) -> None:
         """Re-derive plant coefficients for servers whose faults stepped.
@@ -1409,13 +1550,13 @@ def run_batch(
     """Run independent (uncoupled) closed loops as one batch.
 
     All specs must share ``duration_s``, ``dt_s``, and
-    ``record_decimation`` (one time grid).  ``backend`` picks the batch
-    stepper lane (``"vectorized"`` or any name registered in
-    :mod:`repro.sim.backends`, e.g. ``"fused"``).  Raises
+    ``record_decimation`` (one time grid).  ``backend`` names the batch
+    lane (``"vectorized"`` or its alias ``"fused"``).  Raises
     :class:`~repro.errors.SimulationError` when the servers cannot batch;
     callers wanting a silent fallback should check
     :func:`batch_unsupported_reason` first or catch the error.
     """
+    check_batch_backend(backend)
     if not specs:
         raise SimulationError("run_batch needs at least one spec")
     first = specs[0]
@@ -1433,13 +1574,7 @@ def run_batch(
         raise SimulationError(
             f"duration {first.duration_s} shorter than one step"
         )
-    if backend == "vectorized":
-        stepper_cls = BatchStepper
-    else:
-        from repro.sim.backends import stepper_backend
-
-        stepper_cls = stepper_backend(backend)
-    stepper = stepper_cls(
+    stepper = BatchStepper(
         plants=[spec.plant for spec in specs],
         sensors=[spec.sensor for spec in specs],
         workloads=[spec.workload for spec in specs],

@@ -826,7 +826,7 @@ class BatchGlobalController:
         # rows ending a boost or holding refractory need it, and the
         # final exponentiation goes through CPython's ``**`` - NumPy's
         # SIMD pow loop can differ from libm pow by an ulp, which would
-        # break tier-A bit-for-bit equality.
+        # break bit-for-bit equality with the scalar lane.
         need = np.nonzero(end_boost | refr_hold)[0]
         if need.size:
             sub = rows[need]

@@ -23,11 +23,9 @@ together.
 
 This scalar loop is the **reference semantics** of the backend
 contract (``docs/backends.md``): :class:`~repro.sim.batch.BatchStepper`
-re-executes it element-wise across a rack (tier A, bit-for-bit), and
-:class:`~repro.sim.fused.FusedStepper` fuses the spans between control
-decisions into closed-form window kernels (tier B, exact decisions,
-tolerance-bounded thermals).  Behaviour questions are settled here
-first; the array lanes follow.
+re-executes it element-wise across a rack, one control window of array
+ops at a time, bit for bit.  Behaviour questions are settled here
+first; the array lane follows.
 """
 
 from __future__ import annotations

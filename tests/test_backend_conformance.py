@@ -1,23 +1,19 @@
-"""Property-based backend-conformance suite: the two-tier contract.
+"""Property-based backend-conformance suite: one bit-for-bit contract.
 
-``docs/backends.md`` formalizes equivalence between the three execution
-backends as two tiers:
-
-* **Tier A** (scalar vs. vectorized): *bit-for-bit* - every telemetry
-  channel, energy total, and summary agrees to the last bit, whatever
-  the topology, workload, scheme, or fault schedule.
-* **Tier B** (fused vs. vectorized): decision channels (measurements,
-  fan commands, caps, applied utilization, set-points, timestamps) stay
-  bit-for-bit, while the window-scanned thermal trajectories and the
-  trapezoid energy totals are tolerance-bounded (the closed-form scan
-  reorders arithmetic; measured drift is ~1e-13, the bounds below keep
-  three orders of margin).
+``docs/backends.md`` defines equivalence between the execution backends
+as a single tier: the array lane (``"vectorized"``, and ``"fused"``, an
+alias of it) reproduces the scalar reference loop *bit for bit* - every
+telemetry channel, energy total, summary, mean inlet and fault summary
+agrees to the last bit, whatever the topology, workload, scheme, or
+fault schedule.  No assertion here carries a tolerance.
 
 The randomized tests draw topologies (rack width, recirculation
 fraction), workloads/seeds, Table III schemes, and fault schedules from
-hypothesis; the deterministic tests pin every scheme on the array lane
-(zero controller fallbacks), scalar-resume-after-fused sync-back, and
-the ``REPRO_DISABLE_NUMBA`` scan-kernel gate.
+hypothesis; the boundary cases run past the 4096-step chunk, through
+several fan decisions, with fault onsets on chunk, window and control
+instants.  The deterministic tests pin every scheme on the array lane
+(zero controller fallbacks), scalar-resume-after-batch sync-back, the
+accepted backend names, and every room scenario.
 """
 
 from __future__ import annotations
@@ -28,17 +24,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import FleetConfig, RoomConfig
+from repro.errors import SimulationError
 from repro.faults.events import FaultEvent, FaultSchedule
 from repro.fleet import FleetSimulator, build_fleet_scenario
-from repro.room import RoomSimulator, uniform_room
-from repro.sim.backends import (
-    batch_backend_names,
-    fused_scan_impl,
-    numba_available,
-    numba_disabled,
-)
+from repro.fleet.simulator import BACKENDS as FLEET_BACKENDS
+from repro.room import RoomSimulator, run_stacked_racks, uniform_room
+from repro.room.scenarios import ROOM_SCENARIOS, build_room_scenario
+from repro.room.simulator import BACKENDS as ROOM_BACKENDS
+from repro.sim.batch import _CHUNK_STEPS, BATCH_BACKENDS, run_batch
 
 _DT = 0.1
+
+#: The array lane under both of its names.
+ARRAY_BACKENDS = ("vectorized", "fused")
 
 #: Table III coordination schemes; all five must ride the array lane.
 SCHEMES = (
@@ -48,19 +46,6 @@ SCHEMES = (
     "ecoord",
     "rcoord_atref_ssfan",
 )
-
-#: Channels the fused backend must reproduce bit-for-bit (tier B).
-EXACT_CHANNELS = (
-    "applied", "cpu_cap", "demand", "fan_speed", "t_ref", "time", "tmeas",
-)
-#: Channels covered by the tier-B thermal tolerance.
-THERMAL_CHANNELS = ("junction", "heatsink")
-
-#: Tier-B bounds, with ~3 orders of margin over measured drift (~1e-13
-#: absolute on trajectories, ~1e-14 relative on energies).
-THERMAL_ATOL = 1e-9
-ENERGY_RTOL = 1e-11
-INLET_ATOL = 1e-9
 
 
 def _rack(scheme, n=4, seed=11, recirc=0.3, duration=60.0):
@@ -88,63 +73,36 @@ def _run(backend, scheme, n=4, seed=11, recirc=0.3, duration=60.0,
     return result
 
 
-def assert_tier_a(scalar, vectorized):
-    """Scalar and vectorized results must agree to the last bit."""
-    assert scalar.n_servers == vectorized.n_servers
+def assert_exact(scalar, lane):
+    """A lane's fleet result must equal the scalar one to the last bit."""
+    assert scalar.n_servers == lane.n_servers
     for i in range(scalar.n_servers):
-        rs, rv = scalar.server(i), vectorized.server(i)
+        rs, rl = scalar.server(i), lane.server(i)
         for name, channel in rs.channels.items():
             assert np.array_equal(
-                channel, rv.channels[name], equal_nan=True
-            ), f"tier A: server {i} channel {name} diverged"
-        assert rs.summary() == rv.summary(), f"tier A: server {i} summary"
-    assert scalar.mean_inlet_c == vectorized.mean_inlet_c
-    if "faults" in scalar.extras or "faults" in vectorized.extras:
-        assert scalar.extras["faults"] == vectorized.extras["faults"]
+                channel, rl.channels[name], equal_nan=True
+            ), f"server {i} channel {name} diverged"
+        assert rs.summary() == rl.summary(), f"server {i} summary"
+    assert scalar.mean_inlet_c == lane.mean_inlet_c
+    if "faults" in scalar.extras or "faults" in lane.extras:
+        assert scalar.extras["faults"] == lane.extras["faults"]
 
 
-def assert_tier_b(vectorized, fused):
-    """Fused must match vectorized exactly on decisions, within
-    tolerance on window-scanned thermals and trapezoid energies."""
-    assert fused.n_servers == vectorized.n_servers
-    for i in range(vectorized.n_servers):
-        rv, rf = vectorized.server(i), fused.server(i)
-        for name in EXACT_CHANNELS:
-            assert np.array_equal(
-                rv.channels[name], rf.channels[name], equal_nan=True
-            ), f"tier B: server {i} decision channel {name} diverged"
-        for name in THERMAL_CHANNELS:
-            drift = np.max(np.abs(rv.channels[name] - rf.channels[name]))
-            assert drift < THERMAL_ATOL, (
-                f"tier B: server {i} {name} drift {drift:.3e} "
-                f"exceeds {THERMAL_ATOL:.0e}"
-            )
-        sv, sf = rv.summary(), rf.summary()
-        for key in ("fan_energy_j", "cpu_energy_j"):
-            rel = abs(sv[key] - sf[key]) / max(abs(sv[key]), 1e-12)
-            assert rel < ENERGY_RTOL, (
-                f"tier B: server {i} {key} rel drift {rel:.3e}"
-            )
-        assert sv["violation_percent"] == sf["violation_percent"]
-    inlet_drift = np.max(
-        np.abs(np.asarray(vectorized.mean_inlet_c)
-               - np.asarray(fused.mean_inlet_c))
-    )
-    assert inlet_drift < INLET_ATOL
-    if "faults" in vectorized.extras or "faults" in fused.extras:
-        assert vectorized.extras["faults"] == fused.extras["faults"]
+def _assert_contract(case, **kw):
+    scalar = _run("scalar", case["scheme"], **kw)
+    for backend in ARRAY_BACKENDS:
+        assert_exact(scalar, _run(backend, case["scheme"], **kw))
 
 
 class TestTableThreeSchemes:
-    """All five schemes, all three backends, array lane end to end."""
+    """All five schemes, every backend, array lane end to end."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_two_tier_contract(self, scheme):
+        """(Historic name: the contract is now a single exact tier.)"""
         scalar = _run("scalar", scheme)
-        vectorized = _run("vectorized", scheme)
-        fused = _run("fused", scheme)
-        assert_tier_a(scalar, vectorized)
-        assert_tier_b(vectorized, fused)
+        for backend in ARRAY_BACKENDS:
+            assert_exact(scalar, _run(backend, scheme))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_fused_keeps_whole_rack_on_array_lane(self, scheme):
@@ -152,16 +110,48 @@ class TestTableThreeSchemes:
         fused = _run("fused", scheme)
         assert fused.extras["controller_backend"] == "vectorized"
         assert "controller_fallbacks" not in fused.extras
-        assert fused.extras["scan_impl"] == fused_scan_impl()
 
     def test_backend_registry_names(self):
-        assert batch_backend_names() == ("fused", "vectorized")
+        """``"fused"`` stays an accepted alias; unknown names raise."""
+        assert BATCH_BACKENDS == ARRAY_BACKENDS
+        assert FLEET_BACKENDS == ("auto", "scalar") + ARRAY_BACKENDS
+        assert ROOM_BACKENDS == FLEET_BACKENDS
+        with pytest.raises(SimulationError, match="unknown backend"):
+            FleetSimulator(_rack("rcoord"), backend="closed_form")
+        with pytest.raises(SimulationError, match="unknown batch backend"):
+            run_batch([], backend="scalar")
+        with pytest.raises(SimulationError, match="unknown batch backend"):
+            run_stacked_racks([_rack("rcoord")], 1.0, backend="gpu")
 
 
 # Fault kinds the randomized schedules draw from, with magnitude rules.
 _FAULT_KINDS = st.sampled_from(
     ["dropout", "stuck", "offset", "fan_seize", "fouling", "drift"]
 )
+
+
+@st.composite
+def _fault_events(draw, n, starts, durations):
+    events = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(_FAULT_KINDS)
+        magnitude = None
+        if kind == "offset":
+            magnitude = draw(st.sampled_from([-4.0, -1.5, 2.0, 5.0]))
+        elif kind == "fouling":
+            magnitude = draw(st.sampled_from([0.1, 0.3, 0.6]))
+        elif kind == "drift":
+            magnitude = draw(st.sampled_from([0.005, 0.02, 0.05]))
+        events.append(
+            FaultEvent(
+                kind=kind,
+                server=draw(st.integers(min_value=0, max_value=n - 1)),
+                start_s=draw(st.sampled_from(starts)),
+                duration_s=draw(st.sampled_from(durations)),
+                magnitude=magnitude,
+            )
+        )
+    return FaultSchedule(events)
 
 
 @st.composite
@@ -178,34 +168,25 @@ def _conformance_case(draw, with_faults=False):
         "dec": draw(st.integers(min_value=1, max_value=7)),
         "duration": draw(st.sampled_from([20.0, 30.0, 40.0])),
     }
-    if not with_faults:
-        return case
-    events = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        kind = draw(_FAULT_KINDS)
-        magnitude = None
-        if kind == "offset":
-            magnitude = draw(st.sampled_from([-4.0, -1.5, 2.0, 5.0]))
-        elif kind == "fouling":
-            magnitude = draw(st.sampled_from([0.1, 0.3, 0.6]))
-        elif kind == "drift":
-            magnitude = draw(st.sampled_from([0.005, 0.02, 0.05]))
-        events.append(
-            FaultEvent(
-                kind=kind,
-                server=draw(st.integers(min_value=0, max_value=n - 1)),
-                start_s=draw(st.sampled_from([3.0, 7.5, 12.0])),
-                duration_s=draw(st.sampled_from([5.0, 10.0, 20.0])),
-                magnitude=magnitude,
-            )
+    if with_faults:
+        case["faults"] = draw(
+            _fault_events(n, [3.0, 7.5, 12.0], [5.0, 10.0, 20.0])
         )
-    case["faults"] = FaultSchedule(events)
     return case
+
+
+def _kwargs(case):
+    kw = dict(n=case["n"], seed=case["seed"], recirc=case["recirc"],
+              duration=case["duration"], dec=case["dec"])
+    if "faults" in case:
+        kw["faults"] = case["faults"]
+    return kw
 
 
 class TestRandomizedConformance:
     """Hypothesis: the contract holds across random topologies,
-    workloads (per-server seeded), schemes, and fault schedules."""
+    workloads (per-server seeded), schemes, and fault schedules.
+    (Historic test names: the contract is now a single exact tier.)"""
 
     @settings(
         max_examples=8,
@@ -214,17 +195,7 @@ class TestRandomizedConformance:
     )
     @given(case=_conformance_case())
     def test_two_tier_contract_randomized(self, case):
-        scalar = _run("scalar", case["scheme"], n=case["n"],
-                      seed=case["seed"], recirc=case["recirc"],
-                      duration=case["duration"], dec=case["dec"])
-        vectorized = _run("vectorized", case["scheme"], n=case["n"],
-                          seed=case["seed"], recirc=case["recirc"],
-                          duration=case["duration"], dec=case["dec"])
-        fused = _run("fused", case["scheme"], n=case["n"],
-                     seed=case["seed"], recirc=case["recirc"],
-                     duration=case["duration"], dec=case["dec"])
-        assert_tier_a(scalar, vectorized)
-        assert_tier_b(vectorized, fused)
+        _assert_contract(case, **_kwargs(case))
 
     @settings(
         max_examples=6,
@@ -233,85 +204,97 @@ class TestRandomizedConformance:
     )
     @given(case=_conformance_case(with_faults=True))
     def test_two_tier_contract_under_faults(self, case):
-        kw = dict(n=case["n"], seed=case["seed"], recirc=case["recirc"],
-                  duration=case["duration"], dec=case["dec"],
-                  faults=case["faults"])
-        scalar = _run("scalar", case["scheme"], **kw)
-        vectorized = _run("vectorized", case["scheme"], **kw)
-        fused = _run("fused", case["scheme"], **kw)
-        assert_tier_a(scalar, vectorized)
-        assert_tier_b(vectorized, fused)
+        _assert_contract(case, **_kwargs(case))
+
+
+#: The first chunk ends at step _CHUNK_STEPS, i.e. t = 409.6 s.
+_CHUNK_END_S = _CHUNK_STEPS * _DT
+
+#: Fault onsets on the instants where the array lane changes gear: the
+#: last step of the first chunk and the first of the next, control
+#: instants (window ends, every 1 s) and the steps right after them
+#: (window starts), and fan decisions (every 30 s).
+_BOUNDARY_STARTS = [
+    round(_CHUNK_END_S, 1),
+    round(_CHUNK_END_S + _DT, 1),
+    60.0,
+    60.1,
+    90.0,
+    410.0,
+    410.1,
+    420.0,
+]
+
+
+@st.composite
+def _boundary_case(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    return {
+        "n": n,
+        "scheme": draw(st.sampled_from(SCHEMES)),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+        "recirc": draw(st.sampled_from([0.0, 0.2, 0.4])),
+        "dec": draw(st.integers(min_value=1, max_value=9)),
+        # > _CHUNK_STEPS steps and >= 13 fan decisions (every 30 s).
+        "duration": draw(st.sampled_from([410.0, 423.7, 450.0])),
+        "faults": draw(
+            _fault_events(n, _BOUNDARY_STARTS, [0.1, 1.0, 9.9, 30.0])
+        ),
+    }
+
+
+class TestBoundaryConformance:
+    """Exact equality where array-lane bugs live: past the demand chunk,
+    across many fan decisions, with faults switching on chunk, window
+    and control instants."""
+
+    @settings(
+        max_examples=5,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_boundary_case())
+    def test_exact_across_chunk_window_and_control_boundaries(self, case):
+        assert case["duration"] / _DT > _CHUNK_STEPS
+        _assert_contract(case, **_kwargs(case))
 
 
 class TestScalarResumeAfterFused:
-    """The fused stepper syncs state back into the scalar objects, so a
+    """The batch stepper syncs state back into the scalar objects, so a
     follow-up scalar run continues from where the batch left off."""
 
     def test_sync_back_state_matches_vectorized(self):
-        rack_v = _rack("rcoord_atref")
+        rack_s = _rack("rcoord_atref")
         rack_f = _rack("rcoord_atref")
-        FleetSimulator(rack_v, dt_s=_DT, backend="vectorized").run(30.0)
+        FleetSimulator(rack_s, dt_s=_DT, backend="scalar").run(30.0)
         FleetSimulator(rack_f, dt_s=_DT, backend="fused").run(30.0)
-        for slot_v, slot_f in zip(rack_v, rack_f):
+        for slot_s, slot_f in zip(rack_s, rack_f):
             assert slot_f.sensor.is_primed
-            assert slot_v.plant.time_s == slot_f.plant.time_s
-            sv, sf = slot_v.plant.state, slot_f.plant.state
-            assert sv.junction_c == pytest.approx(
-                sf.junction_c, abs=THERMAL_ATOL
-            )
-            assert sv.heatsink_c == pytest.approx(
-                sf.heatsink_c, abs=THERMAL_ATOL
-            )
-            assert sv.fan_speed_rpm == sf.fan_speed_rpm
-            assert sv.utilization == sf.utilization
-            assert slot_v.inlet.offset_c == pytest.approx(
-                slot_f.inlet.offset_c, abs=INLET_ATOL
-            )
+            assert slot_s.plant.state == slot_f.plant.state
+            assert slot_s.inlet.offset_c == slot_f.inlet.offset_c
 
     def test_scalar_resume_trajectories_stay_bounded(self):
-        """Resumed scalar runs from fused- and vectorized-synced racks
-        track each other within the tier-B drift (the resumed lane is
-        scalar on both sides; only the starting state differs)."""
-        rack_v = _rack("rcoord_atref")
+        """Resumed scalar runs from scalar- and fused-synced racks are
+        identical (the resumed lane is scalar on both sides; only the
+        starting state could differ, and it does not)."""
+        rack_s = _rack("rcoord_atref")
         rack_f = _rack("rcoord_atref")
-        FleetSimulator(rack_v, dt_s=_DT, backend="vectorized").run(30.0)
+        FleetSimulator(rack_s, dt_s=_DT, backend="scalar").run(30.0)
         FleetSimulator(rack_f, dt_s=_DT, backend="fused").run(30.0)
-        res_v = FleetSimulator(rack_v, dt_s=_DT, backend="auto").run(20.0)
+        res_s = FleetSimulator(rack_s, dt_s=_DT, backend="auto").run(20.0)
         res_f = FleetSimulator(rack_f, dt_s=_DT, backend="auto").run(20.0)
         # Primed sensors force the scalar reference loop on both racks.
-        assert res_v.extras["backend"] == "scalar"
+        assert res_s.extras["backend"] == "scalar"
         assert res_f.extras["backend"] == "scalar"
-        for i in range(res_v.n_servers):
-            rv, rf = res_v.server(i), res_f.server(i)
-            for name, channel in rv.channels.items():
-                assert np.allclose(
-                    channel, rf.channels[name],
-                    atol=1e-6, rtol=0.0, equal_nan=True,
-                ), f"resumed server {i} channel {name}"
+        assert_exact(res_s, res_f)
 
 
-class TestNumbaGate:
-    """The scan-kernel selection respects the environment gate and the
-    fused backend stays within tier B on the NumPy fallback."""
-
-    def test_scan_impl_consistent_with_gates(self):
-        impl = fused_scan_impl()
-        assert impl in ("numba", "numpy")
-        assert impl == ("numba" if numba_available() else "numpy")
-
-    def test_disable_env_forces_numpy_scan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
-        assert numba_disabled()
-        assert not numba_available()
-        assert fused_scan_impl() == "numpy"
-        vectorized = _run("vectorized", "rcoord", duration=30.0)
-        fused = _run("fused", "rcoord", duration=30.0)
-        assert fused.extras["scan_impl"] == "numpy"
-        assert_tier_b(vectorized, fused)
-
-    def test_disable_env_zero_means_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "0")
-        assert not numba_disabled()
+def _assert_room_exact(scalar, lane, backend):
+    for rs, rl in zip(scalar.rack_results, lane.rack_results):
+        assert_exact(rs, rl)
+        assert rl.extras["backend"] == backend
+    assert scalar.supply_c == lane.supply_c
+    assert scalar.crac_energy_j == lane.crac_energy_j
 
 
 class TestRoomConformance:
@@ -329,22 +312,31 @@ class TestRoomConformance:
         return result
 
     def test_room_two_tier_contract(self):
+        """(Historic name: the contract is now a single exact tier.)"""
         scalar = self._room_result("scalar")
-        vectorized = self._room_result("vectorized")
-        fused = self._room_result("fused")
-        for rs, rv, rf in zip(
-            scalar.rack_results,
-            vectorized.rack_results,
-            fused.rack_results,
-        ):
-            assert_tier_a(rs, rv)
-            assert_tier_b(rv, rf)
-            assert rf.extras["backend"] == "fused"
-        assert np.allclose(
-            np.asarray(vectorized.supply_c), np.asarray(fused.supply_c),
-            atol=INLET_ATOL, rtol=0.0,
+        for backend in ARRAY_BACKENDS:
+            _assert_room_exact(scalar, self._room_result(backend), backend)
+
+    @pytest.mark.parametrize("scenario", sorted(ROOM_SCENARIOS))
+    def test_room_scenarios_exact(self, scenario):
+        """Every room builder: odd rack widths, aisle cross-terms and CRAC
+        feedback all go through the per-step operator exactly."""
+        config = RoomConfig(n_rows=1, racks_per_row=2, servers_per_rack=3)
+        results = {}
+        for backend in ("scalar",) + ARRAY_BACKENDS:
+            room = build_room_scenario(
+                scenario, room=config, duration_s=40.0, seed=5
+            )
+            results[backend] = RoomSimulator(
+                room, dt_s=_DT, record_decimation=3, backend=backend
+            ).run(40.0)
+        for backend in ARRAY_BACKENDS:
+            _assert_room_exact(results["scalar"], results[backend], backend)
+
+    def test_decoupled_rack_exact(self):
+        """Zero recirculation: the array lane skips the operator and
+        broadcasts the room air, and still matches bit for bit."""
+        assert _rack("rcoord", n=3, recirc=0.0).coupling.is_decoupled
+        _assert_contract(
+            {"scheme": "rcoord"}, n=3, recirc=0.0, duration=40.0, dec=3
         )
-        rel = abs(vectorized.crac_energy_j - fused.crac_energy_j) / max(
-            vectorized.crac_energy_j, 1e-12
-        )
-        assert rel < 1e-9

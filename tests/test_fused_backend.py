@@ -1,13 +1,12 @@
-"""Fused-backend internals: coefficient caches and window semantics.
+"""Window-kernel internals: plant coefficient updates and window shapes.
 
-The fused kernel (:mod:`repro.sim.fused`) caches two things per plant
-*version* - the closed-form scan coefficients (``powers``/``geom`` per
-node and window width) and the plant-coefficient column views - because
 :class:`~repro.sim.batch.BatchThermalPlant` mutates its coefficient
-arrays **in place** (array identity never changes).  These tests pin the
-version counter's bump rules and prove the fused caches go stale and
-rebuild at exactly the instants fan commands or mid-run fouling faults
-change the coefficients.
+arrays **in place** (array identity never changes) and counts every
+write in a version counter.  These tests pin the counter's bump rules,
+and prove the window kernel (``backend="fused"`` is an alias of the
+vectorized lane) picks up coefficient changes at exactly the instants
+fan commands or mid-run fouling faults make them, and keeps the
+scalar lane's control cadence for any window width.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.config import FleetConfig, ServerConfig
 from repro.faults.events import FaultEvent, FaultSchedule
 from repro.fleet import FleetSimulator, build_fleet_scenario
 from repro.sim.batch import BatchThermalPlant
-from repro.sim.fused import FusedStepper
 from repro.thermal.server import ServerThermalModel
 
 _DT = 0.1
@@ -96,54 +94,26 @@ class TestPlantVersionCounter:
         assert plant.clamped_speed[0] == 8000.0
 
 
-def _fused_stepper(rack, n_steps=600):
-    slots = list(rack)
-    return FusedStepper(
-        plants=[s.plant for s in slots],
-        sensors=[s.sensor for s in slots],
-        workloads=[s.workload for s in slots],
-        controllers=[s.controller for s in slots],
-        n_steps=n_steps,
-        dt_s=_DT,
-        coupling=rack.coupling,
-        exhaust=rack.exhaust,
-    )
+def _assert_exact(scalar, lane):
+    for i in range(scalar.n_servers):
+        rs, rl = scalar.server(i), lane.server(i)
+        for name, channel in rs.channels.items():
+            assert np.array_equal(
+                channel, rl.channels[name], equal_nan=True
+            ), f"server {i} {name}"
+        assert rs.summary() == rl.summary(), f"server {i} summary"
+    assert scalar.mean_inlet_c == lane.mean_inlet_c
 
 
 class TestFusedCoefficientCache:
-    def test_cache_rebuilds_on_version_change(self):
-        stepper = _fused_stepper(_rack())
-        assert stepper._coeff_version == -1
-        assert stepper._cols is None
-        stepper.run()
-        plant = stepper._plant
-        # The caches were built against a live plant version.  They may
-        # trail it by the run-ending control decision (fan writes land
-        # *after* the last window's version check) but never by more:
-        # every window start re-checks, so a stale cache survives at most
-        # until the next window boundary.
-        assert 0 <= stepper._coeff_version <= plant.version
-        assert stepper._cols is not None
-        if stepper.scan_impl == "numpy":
-            assert stepper._coeff_cache
-        # A coefficient write leaves them stale for the next window
-        # check to rebuild.
-        v = stepper._coeff_version
-        plant.apply_fan_speed(0, 8500.0)
-        assert plant.version > v
-
-    def test_cached_columns_track_plant_arrays(self):
-        """The cached column views alias the live coefficient arrays, so
-        in-place writes flow through without a rebuild mid-window."""
-        stepper = _fused_stepper(_rack())
-        stepper.run()
-        _, _, _, r_hs_col, _ = stepper._cols
-        assert r_hs_col.base is stepper._plant.r_hs
+    """(Historic name: the window kernel once cached scan coefficients
+    per plant version; the in-place coefficient change it had to track
+    mid-run is what remains under test.)"""
 
     def test_mid_run_fouling_stays_equivalent(self):
         """A fouling fault mid-run changes r_hs/hs_decay in place; the
-        fused lane must pick the change up at the fault instant, not
-        serve a stale scan cache.  Pinned against the vectorized lane."""
+        window kernel must pick the change up at the fault instant.
+        Pinned bit for bit against the scalar lane."""
         faults = FaultSchedule(
             [
                 FaultEvent(
@@ -159,7 +129,7 @@ class TestFusedCoefficientCache:
             ]
         )
         results = {}
-        for backend in ("vectorized", "fused"):
+        for backend in ("scalar", "fused"):
             sim = FleetSimulator(
                 _rack(),
                 dt_s=_DT,
@@ -169,30 +139,20 @@ class TestFusedCoefficientCache:
             )
             results[backend] = sim.run(60.0)
             assert results[backend].extras["backend"] == backend
-        rv, rf = results["vectorized"], results["fused"]
-        assert rv.extras["faults"] == rf.extras["faults"]
-        for i in range(rv.n_servers):
-            sv, sf = rv.server(i), rf.server(i)
-            for name in ("tmeas", "fan_speed", "cpu_cap", "applied"):
-                assert np.array_equal(
-                    sv.channels[name], sf.channels[name], equal_nan=True
-                ), f"server {i} {name}"
-            for name in ("junction", "heatsink"):
-                drift = np.max(
-                    np.abs(sv.channels[name] - sf.channels[name])
-                )
-                assert drift < 1e-9, f"server {i} {name}: {drift:.3e}"
+        rs, rf = results["scalar"], results["fused"]
+        assert rs.extras["faults"] == rf.extras["faults"]
+        _assert_exact(rs, rf)
 
 
 class TestWindowSemantics:
     def test_counters_match_vectorized(self):
-        """Window fusion must not change how often control/sensing run:
-        the obs counters (control decisions, server steps) agree with
-        the per-dt vectorized lane."""
+        """Windows must not change how often control/sensing run: the
+        obs counters (control decisions, server steps) agree with the
+        scalar lane's."""
         from repro.obs import ObsConfig
 
         summaries = {}
-        for backend in ("vectorized", "fused"):
+        for backend in ("scalar", "fused"):
             sim = FleetSimulator(
                 _rack(),
                 dt_s=_DT,
@@ -202,15 +162,16 @@ class TestWindowSemantics:
             )
             result = sim.run(60.0)
             summaries[backend] = result.extras["obs"]["counters"]
-        vec, fus = summaries["vectorized"], summaries["fused"]
-        assert vec["server_steps"] == fus["server_steps"]
-        assert vec.get("control_steps") == fus.get("control_steps")
+        ref, fus = summaries["scalar"], summaries["fused"]
+        assert ref["server_steps"] == fus["server_steps"]
+        assert ref.get("control_steps") == fus.get("control_steps")
 
     def test_single_step_windows_still_work(self):
-        """dt equal to the control period forces w=1 windows - the fused
-        kernel degenerates to the per-dt lane and must still agree."""
+        """dt equal to the control period forces w=1 windows - the
+        kernel degenerates to one step per window and must still match
+        the scalar lane bit for bit."""
         results = {}
-        for backend in ("vectorized", "fused"):
+        for backend in ("scalar", "fused"):
             rack = build_fleet_scenario(
                 "homogeneous",
                 n_servers=3,
@@ -222,14 +183,4 @@ class TestWindowSemantics:
                 rack, dt_s=1.0, record_decimation=1, backend=backend
             )
             results[backend] = sim.run(30.0)
-        rv, rf = results["vectorized"], results["fused"]
-        for i in range(rv.n_servers):
-            sv, sf = rv.server(i), rf.server(i)
-            for name in ("tmeas", "fan_speed", "cpu_cap"):
-                assert np.array_equal(
-                    sv.channels[name], sf.channels[name]
-                ), f"server {i} {name}"
-            for name in ("junction", "heatsink"):
-                assert np.max(
-                    np.abs(sv.channels[name] - sf.channels[name])
-                ) < 1e-9
+        _assert_exact(results["scalar"], results["fused"])

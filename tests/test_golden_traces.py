@@ -3,14 +3,10 @@
 ``tests/golden/`` holds one canonical rack run per Table III scheme and
 one faulted room (CRAC brownout), generated on the scalar reference
 backend by ``tools/regen_golden.py``.  Replaying them here pins the
-two-tier contract against *stored* values, so a regression that shifts
-both live backends the same way (which the pairwise equivalence tests
-cannot see) still fails:
-
-* scalar and vectorized must reproduce the fixtures **bit-for-bit**
-  (JSON round-trips floats exactly);
-* fused must reproduce the decision channels bit-for-bit and the
-  thermal channels / energies within the tier-B tolerances.
+backend contract against *stored* values, so a regression that shifts
+every live backend the same way (which the pairwise equivalence tests
+cannot see) still fails: every backend must reproduce the fixtures
+**bit-for-bit** (JSON round-trips floats exactly).
 
 After an intentional behaviour change, regenerate with
 ``PYTHONPATH=src python tools/regen_golden.py`` and commit the diff.
@@ -27,13 +23,6 @@ import pytest
 from repro.config import FleetConfig
 from repro.fleet import FleetSimulator, build_fleet_scenario
 from repro.room.campaign import RoomTask, run_room_task
-from tests.test_backend_conformance import (
-    ENERGY_RTOL,
-    EXACT_CHANNELS,
-    INLET_ATOL,
-    THERMAL_ATOL,
-    THERMAL_CHANNELS,
-)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RACK_FIXTURES = sorted(GOLDEN_DIR.glob("rack_*.json"))
@@ -46,44 +35,24 @@ def _load(path: Path) -> dict:
     return json.loads(path.read_text())
 
 
-def _assert_fleet_matches(result, fixture_payload, subsample, backend, tag):
+def _assert_fleet_matches(result, fixture_payload, subsample, tag):
     """One FleetResult against one fixture's servers/mean-inlet block."""
-    exact = backend in ("scalar", "vectorized")
     servers = fixture_payload["servers"]
     assert result.n_servers == len(servers), tag
     for i, expected in enumerate(servers):
         got = result.server(i)
         for name, pinned in expected["channels"].items():
             live = np.asarray(got.channels[name])[::subsample]
-            pinned = np.asarray(pinned)
-            if exact or name in EXACT_CHANNELS:
-                assert np.array_equal(live, pinned, equal_nan=True), (
-                    f"{tag}: server {i} channel {name} diverged from golden"
-                )
-            else:
-                assert name in THERMAL_CHANNELS, name
-                drift = np.max(np.abs(live - pinned))
-                assert drift < THERMAL_ATOL, (
-                    f"{tag}: server {i} {name} drift {drift:.3e}"
-                )
+            assert np.array_equal(live, np.asarray(pinned), equal_nan=True), (
+                f"{tag}: server {i} channel {name} diverged from golden"
+            )
         summary = got.summary()
         for key, pinned in expected["summary"].items():
-            if exact or key in ("duration_s", "violation_percent",
-                                "mean_fan_speed_rpm"):
-                assert summary[key] == pinned, f"{tag}: server {i} {key}"
-            elif key == "max_junction_c":
-                assert abs(summary[key] - pinned) < THERMAL_ATOL, (
-                    f"{tag}: server {i} {key}"
-                )
-            else:
-                rel = abs(summary[key] - pinned) / max(abs(pinned), 1e-12)
-                assert rel < ENERGY_RTOL, f"{tag}: server {i} {key}"
-    live_inlets = np.asarray(result.mean_inlet_c)
-    pinned_inlets = np.asarray(fixture_payload["mean_inlet_c"])
-    if exact:
-        assert np.array_equal(live_inlets, pinned_inlets), tag
-    else:
-        assert np.max(np.abs(live_inlets - pinned_inlets)) < INLET_ATOL, tag
+            assert summary[key] == pinned, f"{tag}: server {i} {key}"
+    assert np.array_equal(
+        np.asarray(result.mean_inlet_c),
+        np.asarray(fixture_payload["mean_inlet_c"]),
+    ), tag
 
 
 @pytest.mark.parametrize(
@@ -116,7 +85,6 @@ def test_rack_golden_traces(fixture_path, backend):
         result,
         fixture,
         fixture["subsample"],
-        backend,
         f"{fixture_path.stem}/{backend}",
     )
 
@@ -131,20 +99,12 @@ def test_room_golden_trace(backend):
             result.rack_results[r],
             rack_payload,
             fixture["subsample"],
-            backend,
             f"room/rack{r}/{backend}",
         )
-    live_supply = np.asarray(result.supply_c)
-    pinned_supply = np.asarray(fixture["supply_c"])
-    if backend in ("scalar", "vectorized"):
-        assert np.array_equal(live_supply, pinned_supply)
-        assert result.crac_energy_j == fixture["crac_energy_j"]
-    else:
-        assert np.max(np.abs(live_supply - pinned_supply)) < INLET_ATOL
-        rel = abs(result.crac_energy_j - fixture["crac_energy_j"]) / max(
-            fixture["crac_energy_j"], 1e-12
-        )
-        assert rel < 1e-9
+    assert np.array_equal(
+        np.asarray(result.supply_c), np.asarray(fixture["supply_c"])
+    )
+    assert result.crac_energy_j == fixture["crac_energy_j"]
     # The fault summary (event counts, impact windows) is backend-
     # independent: shared injector state, identical decision sequences.
     live_faults = json.loads(json.dumps(result.extras["faults"]))

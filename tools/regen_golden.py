@@ -8,11 +8,9 @@ per-server summaries, and mean inlet temperatures.  There is one rack
 fixture per Table III scheme plus one faulted room (a CRAC brownout).
 
 All fixtures are generated on the **scalar** backend - the reference
-loop of the two-tier contract in ``docs/backends.md``.
+loop of the contract in ``docs/backends.md``.
 ``tests/test_golden_traces.py`` then replays every fixture on every
-backend: scalar and vectorized must reproduce the traces bit-for-bit
-(tier A), the fused backend must reproduce the decision channels
-bit-for-bit and the thermal channels within the tier-B tolerances.
+backend, and each must reproduce the traces bit-for-bit.
 
 Run from the repo root after an intentional behaviour change::
 
