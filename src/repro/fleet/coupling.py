@@ -10,11 +10,11 @@ instead of returning to the CRAC.  This module provides the two halves:
   floored so the rise stays bounded at low speeds.
 * :class:`CouplingOperator` - the linear-operator contract every
   coupling representation implements: map per-server exhaust rises to
-  per-server inlet offsets.  Simulation drivers (``Rack.update_inlets``,
-  the batch backend's per-step coupling) only ever call
-  :meth:`CouplingOperator.apply`, so dense rack matrices and the
-  room-scale block-sparse operator (:class:`repro.room.coupling.
-  SparseCoupling`) are interchangeable.
+  per-server inlet offsets.  Simulation drivers (``Rack.update_inlets``
+  with one step's rises, the batch backend with a whole window's rises,
+  one row per step) only ever call :meth:`CouplingOperator.apply`, so
+  dense rack matrices and the room-scale block-sparse operator
+  (:class:`repro.room.coupling.SparseCoupling`) are interchangeable.
 * :class:`RecirculationMatrix` - the dense operator: a nonnegative
   mixing matrix ``M`` with zero diagonal, ``offset = M @ rise``.
   :meth:`RecirculationMatrix.chain` builds the standard front-to-back
@@ -125,9 +125,12 @@ class CouplingOperator(ABC):
 
     The contract every coupling representation satisfies:
 
-    * :meth:`apply` is the validation-free hot path the simulation loops
-      call once per step; it must run the same floating-point operations
-      every time so backends stay deterministic.
+    * :meth:`apply` is the validation-free hot path.  It takes one
+      step's rises ``(N,)`` or a window of consecutive steps ``(w, N)``
+      and maps every row with the same floating-point operations a
+      one-row call runs on it, so a windowed call is bit-for-bit ``w``
+      per-step calls and the lanes stay deterministic.  Stateful
+      operators advance their state once per row, in row order.
     * :meth:`to_dense` materializes the equivalent dense matrix ``M``
       with ``apply(r) ~= M @ r`` (used for equivalence tests and for
       composing operators into larger block structures).
@@ -148,7 +151,7 @@ class CouplingOperator(ABC):
 
     @abstractmethod
     def apply(self, rises_c: np.ndarray) -> np.ndarray:
-        """Inlet offsets from exhaust rises; no validation (hot path)."""
+        """Inlet offsets from ``(N,)`` or ``(w, N)`` rises; no validation."""
 
     @abstractmethod
     def to_dense(self) -> np.ndarray:
@@ -228,8 +231,14 @@ class RecirculationMatrix(CouplingOperator):
         return not np.any(self._m)
 
     def apply(self, rises_c: np.ndarray) -> np.ndarray:
-        """``M @ rises`` with no validation (the per-step hot path)."""
-        return self._m @ rises_c
+        """``M @ rises`` for every row, with no validation (hot path).
+
+        One batched gemv: NumPy's matmul loop issues, for each row, the
+        same gemv that ``M @ row`` issues.  The rows are made
+        C-contiguous first, because a strided vector takes a different
+        BLAS kernel and drifts in the last bits.
+        """
+        return np.matmul(self._m, np.ascontiguousarray(rises_c)[..., None])[..., 0]
 
     def to_dense(self) -> np.ndarray:
         """A copy of the mixing matrix (same as :attr:`matrix`)."""

@@ -15,13 +15,17 @@ stores exactly that structure instead of the ``(N, N)`` dense matrix:
   every server through shared plenum air - how the CRAC supply-return
   loop enters the operator (rank one per CRAC unit).
 
-:meth:`SparseCoupling.apply` is a block-sparse mat-vec: per-rack gemvs
-plus one small gemv per stored cross block plus ``2K`` dot products for
-the rank-``K`` term - ``O(sum B_r**2)`` instead of ``O(N**2)``.  With no
-cross blocks and no low-rank term each rack's offsets are computed by
-*the same gemv on the same values* as a standalone dense rack, which is
-what makes a zero-inter-rack room bit-for-bit equal to independent
-per-rack runs.
+:meth:`SparseCoupling.apply` is a block-sparse mat-vec over one step's
+rises or a window of steps: per-rack gemvs plus one small gemv per
+stored cross block plus two gemvs for the rank-``K`` term -
+``O(sum B_r**2)`` instead of ``O(N**2)``.  A window runs as a few
+batched calls (one ``matmul`` over the stacked rack blocks, one per
+cross block, two for the low-rank term).  NumPy's matmul loop issues
+for each step the same gemv a one-step call issues, so a window is
+bit-for-bit its steps.  With no cross blocks and no low-rank term each
+rack's offsets are computed by *the same gemv on the same values* as a
+standalone dense rack, which is what makes a zero-inter-rack room
+bit-for-bit equal to independent per-rack runs.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class SparseCoupling(CouplingOperator):
     feedback_tau:
         Optional ``(K,)`` per-row first-order time constants turning the
         low-rank term into a **dynamic supply filter**: each row carries
-        an RC state ``s_k`` advanced once per :meth:`apply` call (one
+        an RC state ``s_k`` advanced once per :meth:`apply` row (one
         simulation step) toward ``mix[k] @ rises + forcing_k``, and the
         output becomes ``gain.T @ s``.  ``tau = 0`` rows settle
         instantly, reproducing the static term bit for bit, so the
@@ -108,8 +112,15 @@ class SparseCoupling(CouplingOperator):
             if np.any(np.diag(arr) != 0.0):
                 raise RoomError(f"rack {r} block must have a zero diagonal")
             validated.append(arr)
-        self._blocks = tuple(validated)
-        sizes = [b.shape[0] for b in self._blocks]
+        sizes = [b.shape[0] for b in validated]
+        # Equal-size racks share one (R, b, b) stack, so a window's
+        # diagonal blocks run as one batched gemv; _blocks are its views.
+        if len(set(sizes)) == 1:
+            self._stack: np.ndarray | None = np.stack(validated)
+            self._blocks = tuple(self._stack)
+        else:
+            self._stack = None
+            self._blocks = tuple(validated)
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         self._starts = tuple(int(v) for v in bounds[:-1])
         self._stops = tuple(int(v) for v in bounds[1:])
@@ -324,7 +335,7 @@ class SparseCoupling(CouplingOperator):
         response at every served inlet.  Requires the unit to have a
         forcing row (``crac_unit_rows``).
         """
-        if not self._crac_unit_rows or unit >= len(self._crac_unit_rows):
+        if not 0 <= unit < len(self._crac_unit_rows):
             raise RoomError(
                 f"no CRAC unit {unit} in this coupling's forcing map"
             )
@@ -371,36 +382,60 @@ class SparseCoupling(CouplingOperator):
     def apply(self, rises_c: np.ndarray) -> np.ndarray:
         """Block-sparse mat-vec (plus the low-rank term); no validation.
 
+        ``rises_c`` is one step's ``(N,)`` rises or a ``(w, N)`` window
+        of consecutive steps; the result has the same shape.  Each term
+        runs once per window as a batched gemv (``np.matmul`` against a
+        trailing unit axis), whose loop issues for every row the gemv a
+        one-row call issues, so a window equals its steps bit for bit.
+        Rows are made C-contiguous first, because a strided vector takes
+        another BLAS kernel; the gemm form ``rises @ M.T`` is *not*
+        bitwise equal.
+
         With no cross blocks and no feedback this runs exactly one
-        ``block @ rises[slice]`` per rack - the identical gemv a
+        ``block @ rises[slice]`` per rack and row - the identical gemv a
         standalone dense rack runs - so zero-inter-rack rooms stay
         bit-for-bit equal to independent per-rack simulations.
 
-        Dynamic operators advance their supply-filter states here (one
-        call = one simulation step, which both execution lanes honour);
-        ``tau = 0`` rows settle to their target each step, making the
-        static term the exact all-zero-tau limit: ``target + (state -
-        target) * 0.0`` is bitwise ``target`` for finite values.
+        Dynamic operators advance their supply-filter states once per
+        row (one row = one simulation step, which both execution lanes
+        honour); ``tau = 0`` rows settle to their target each step,
+        making the static term the exact all-zero-tau limit: ``target +
+        (state - target) * 0.0`` is bitwise ``target`` for finite values.
         """
-        out = np.empty(self._n)
-        for start, stop, block in zip(self._starts, self._stops, self._blocks):
-            out[start:stop] = block @ rises_c[start:stop]
+        rises = np.ascontiguousarray(rises_c)
+        rows = rises.reshape(-1, self._n)
+        w = rows.shape[0]
+        if self._stack is not None:
+            n_racks, size = self._stack.shape[:2]
+            out = np.matmul(
+                self._stack, rows.reshape(w, n_racks, size, 1)
+            ).reshape(w, self._n)
+        else:
+            out = np.empty((w, self._n))
+            for start, stop, block in zip(self._starts, self._stops, self._blocks):
+                out[:, start:stop] = np.matmul(block, rows[:, start:stop, None])[
+                    ..., 0
+                ]
         for (dst, src), matrix in self._cross.items():
-            out[self._starts[dst] : self._stops[dst]] += (
-                matrix @ rises_c[self._starts[src] : self._stops[src]]
-            )
+            out[:, self._starts[dst] : self._stops[dst]] += np.matmul(
+                matrix, rows[:, self._starts[src] : self._stops[src], None]
+            )[..., 0]
         if self._gain is not None:
-            if self._tau is None:
-                out += self._gain.T @ (self._mix @ rises_c)
-            else:
+            feedback = np.matmul(self._mix, rows[..., None])[..., 0]
+            if self._tau is not None:
                 if self._decay is None:
                     raise RoomError(
                         "dynamic coupling needs prepare_run(dt_s) before apply"
                     )
-                target = self._mix @ rises_c + self._forcing
-                self._states = target + (self._states - target) * self._decay
-                out += self._gain.T @ self._states
-        return out
+                # Each row's target is overwritten by that step's state.
+                feedback += self._forcing
+                decay, states = self._decay, self._states
+                for i, target in enumerate(feedback):
+                    states = target + (states - target) * decay
+                    feedback[i] = states
+                self._states = states
+            out += np.matmul(self._gain.T, feedback[..., None])[..., 0]
+        return out.reshape(rises.shape)
 
     # ------------------------------------------------------------------
     # Conversions

@@ -713,9 +713,6 @@ class BatchStepper:
             self._inlet_sums = np.zeros(n)
             self._zero_offsets = np.zeros(n)
             self._last_offsets = self._zero_offsets
-            # Hot-path handle on the CouplingOperator: dense racks run one
-            # gemv, room-scale operators a block-sparse mat-vec.
-            self._coupling_apply = coupling.apply
             # Identity-keyed cache of _conductance_of.
             self._conductance: np.ndarray | None = None
             self._conductance_for: np.ndarray | None = None
@@ -1149,10 +1146,11 @@ class BatchStepper:
         Row 0 reads the lagged plant-state mirrors (exhaust of step k
         feeds inlets at step k+1); later rows the frozen fan power and
         the feed-forward CPU powers ``cpu_w`` - the values the per-step
-        mirror updates would hold.  The operator runs once per step on a
-        C-contiguous row: stateful operators (CRAC supply filters)
-        advance once per step, and every gemv sees the operands the
-        scalar lane hands it.  Also advances the mean-inlet running sums
+        mirror updates would hold.  The operator runs once per window on
+        the ``(w, B)`` rises, as batched gemvs that hand each row's gemv
+        the operands the scalar lane's per-step call hands it; stateful
+        operators (CRAC supply filters) still advance once per row.
+        Also advances the mean-inlet running sums
         (strictly in step order, like the energy totals) and the
         offsets/ambient mirrors.
         """
@@ -1177,7 +1175,7 @@ class BatchStepper:
                     self._conductance_of(self._plant.clamped_speed),
                     out=rises[1:],
                 )
-            np.stack(list(map(self._coupling_apply, rises)), out=ambient)
+            ambient[:] = self._coupling.apply(rises)
             self._last_offsets = ambient[-1].copy()
             ambient += room
         self._last_ambient = ambient[-1]

@@ -85,6 +85,16 @@ class SpikeTrain(Workload):
             return super().demand_array(times_s)
         times = np.asarray(times_s, dtype=float)
         heights = np.zeros(times.shape)
+        if times.ndim == 1 and np.all(times[1:] >= times[:-1]):
+            # Sorted times: each spike is active on one contiguous slice.
+            los = np.searchsorted(times, self._starts, side="left").tolist()
+            his = np.searchsorted(
+                times, [s.end_s for s in self._spikes], side="left"
+            ).tolist()
+            for spike, lo, hi in zip(self._spikes, los, his):
+                if lo < hi:
+                    np.maximum(heights[lo:hi], spike.height, out=heights[lo:hi])
+            return heights
         for spike in self._spikes:
             active = (times >= spike.start_s) & (times < spike.end_s)
             np.maximum(heights, spike.height, out=heights, where=active)

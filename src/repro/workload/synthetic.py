@@ -125,6 +125,10 @@ class NoisyWorkload(Workload):
     control period see a consistent demand.
     """
 
+    # The noise cache holds at most about this many slots: an insert
+    # into a fuller cache clears it first.
+    _CACHE_LIMIT = 100_000
+
     def __init__(
         self,
         inner: Workload,
@@ -137,6 +141,8 @@ class NoisyWorkload(Workload):
         self._resolution_s = check_duration(resolution_s, "resolution_s")
         self._rng = np.random.default_rng(seed)
         self._noise_cache: dict[int, float] = {}
+        # Highest slot ever drawn: every slot above it is a cache miss.
+        self._max_slot = -math.inf
 
     @property
     def std(self) -> float:
@@ -172,11 +178,34 @@ class NoisyWorkload(Workload):
         ``k`` scalar draws do, so each maximal run of cache misses is
         drawn as one array call while the stream position (and therefore
         every value) stays identical to per-slot :meth:`_noise_for_slot`
-        calls.  Cache lookups happen only *after* all preceding draws -
-        a clear can only turn hits into misses, never the reverse, so a
-        miss-run scanned ahead of its draw is exactly the run the scalar
-        path would draw, and a hit is re-checked once the draws before
-        it (and any clear they triggered) have happened.
+        calls.
+
+        Slots above the highest one drawn so far are never cached, so
+        when the query ascends its tail above that slot is one miss run:
+        the head goes through the general scan below, then the tail is
+        one draw and one bulk cache store.  Chunked ascending queries
+        (the batch lane's demand precompute) have a head of at most the
+        one slot a chunk boundary splits.
+        """
+        n = slots.size
+        if n and slots[-1] > self._max_slot and np.all(slots[1:] > slots[:-1]):
+            cut = int(np.searchsorted(slots, self._max_slot, side="right"))
+            out = np.empty(n)
+            out[:cut] = self._scan_noise_for_slots(slots[:cut])
+            draws = self._rng.normal(0.0, self._std, size=n - cut)
+            out[cut:] = draws
+            self._store(slots[cut:].tolist(), draws.tolist())
+            return out
+        return self._scan_noise_for_slots(slots)
+
+    def _scan_noise_for_slots(self, slots: np.ndarray) -> np.ndarray:
+        """:meth:`_noise_for_slots` for any slots, one miss run at a time.
+
+        Cache lookups happen only *after* all preceding draws - a clear
+        can only turn hits into misses, never the reverse, so a miss-run
+        scanned ahead of its draw is exactly the run the scalar path
+        would draw, and a hit is re-checked once the draws before it
+        (and any clear they triggered) have happened.
         """
         out = np.empty(slots.size)
         cache = self._noise_cache
@@ -200,24 +229,37 @@ class NoisyWorkload(Workload):
                 run.add(s)
                 k += 1
             draws = self._rng.normal(0.0, self._std, size=k - j)
-            for p, value in zip(range(j, k), draws):
-                value = float(value)
-                # Bound the cache: keep only a recent window of slots.
-                if len(cache) > 100_000:
-                    cache.clear()
-                cache[int(slots[p])] = value
-                out[p] = value
+            out[j:k] = draws
+            self._store(slots[j:k].tolist(), draws.tolist())
             j = k
         return out
+
+    def _store(self, slots: list[int], values: list[float]) -> None:
+        """Cache freshly drawn, distinct, uncached slots in draw order.
+
+        Equivalent to inserting them one by one, each insert first
+        clearing a cache that holds more than ``_CACHE_LIMIT`` slots:
+        only the slots inserted after the last such clear survive.
+        """
+        self._max_slot = max(self._max_slot, max(slots))
+        cache = self._noise_cache
+        limit = self._CACHE_LIMIT
+        first_clear = limit + 1 - len(cache)
+        if first_clear < len(slots):
+            # After a clear the cache refills from one entry, so clears
+            # recur every limit + 1 inserts.
+            last_clear = first_clear + (len(slots) - 1 - first_clear) // (
+                limit + 1
+            ) * (limit + 1)
+            cache.clear()
+            slots, values = slots[last_clear:], values[last_clear:]
+        cache.update(zip(slots, values))
 
     def _noise_for_slot(self, slot: int) -> float:
         noise = self._noise_cache.get(slot)
         if noise is None:
             noise = float(self._rng.normal(0.0, self._std))
-            # Bound the cache: keep only a recent window of slots.
-            if len(self._noise_cache) > 100_000:
-                self._noise_cache.clear()
-            self._noise_cache[slot] = noise
+            self._store([slot], [noise])
         return noise
 
 

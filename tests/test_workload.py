@@ -156,6 +156,87 @@ class TestDemandArrayExactness:
         scalar = np.array([scalar_wl.demand(float(t)) for t in self.TIMES])
         assert np.array_equal(array_wl.demand_array(self.TIMES), scalar)
 
+    @staticmethod
+    def _assert_slots_match_per_slot(queries, seed):
+        bulk = NoisyWorkload(ConstantWorkload(0.5), std=0.1, seed=seed)
+        per_slot = NoisyWorkload(ConstantWorkload(0.5), std=0.1, seed=seed)
+        for query in queries:
+            got = bulk._noise_for_slots(np.asarray(query, dtype=np.int64))
+            expected = [per_slot._noise_for_slot(int(s)) for s in query]
+            assert np.array_equal(got, np.array(expected, dtype=float))
+            assert (
+                bulk._rng.bit_generator.state
+                == per_slot._rng.bit_generator.state
+            )
+        assert bulk._noise_cache == per_slot._noise_cache
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(-50, 50),
+        st.lists(
+            st.tuples(st.integers(1, 60), st.integers(0, 3)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_noisy_chunked_ascending_slots_match_per_slot(self, first, chunks, seed):
+        # The batch lane's pattern: ascending runs of distinct slots,
+        # each chunk starting at or a little before the previous end.
+        queries, start = [], first
+        for size, overlap in chunks:
+            queries.append(list(range(start, start + size)))
+            start += size - overlap
+        self._assert_slots_match_per_slot(queries, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-20, 40), min_size=1, max_size=25),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_noisy_arbitrary_slots_match_per_slot(self, queries, seed):
+        self._assert_slots_match_per_slot(queries, seed)
+
+    @pytest.mark.parametrize("limit", [0, 1, 4, 9])
+    def test_noisy_bulk_cache_clear_matches_per_insert_rule(self, monkeypatch, limit):
+        # Reference: the per-insert rule written out - an insert into a
+        # cache holding more than `limit` slots clears it first.
+        monkeypatch.setattr(NoisyWorkload, "_CACHE_LIMIT", limit)
+        queries = [list(range(0, 30)), [3, 29, 30, 31], list(range(25, 61)), [0]]
+        rng = np.random.default_rng(5)
+        cache: dict[int, float] = {}
+        expected = []
+        for query in queries:
+            values = []
+            for slot in query:
+                if slot not in cache:
+                    value = float(rng.normal(0.0, 0.1))
+                    if len(cache) > limit:
+                        cache.clear()
+                    cache[slot] = value
+                values.append(cache[slot])
+            expected.append(values)
+        wl = NoisyWorkload(ConstantWorkload(0.5), std=0.1, seed=5)
+        for query, values in zip(queries, expected):
+            got = wl._noise_for_slots(np.asarray(query, dtype=np.int64))
+            assert np.array_equal(got, np.array(values))
+        assert wl._noise_cache == cache
+        assert wl._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_spike_train_sorted_and_unsorted_times_exact(self):
+        train = SpikeProcess(2000.0, 1.0 / 60.0, seed=4)
+        times = np.concatenate((self.TIMES, self.TIMES[-1] + self.TIMES))
+        self._assert_exact(train, times)
+        shuffled = np.random.default_rng(0).permutation(times)
+        self._assert_exact(train, shuffled)
+        # Spike edges on the grid itself, and repeated times.
+        edges = SpikeTrain([Spike(1.0, 0.5, 0.3), Spike(1.2, 2.0, 0.2)])
+        self._assert_exact(edges, np.array([0.9, 1.0, 1.0, 1.2, 1.5, 3.2, 3.3]))
+
 
 class TestSpikes:
     def test_spike_active_window(self):
