@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+import pytest
 from bench_report import bench_record, smoke_mode
 
 from repro.config import ServerConfig
@@ -15,6 +17,7 @@ from repro.core.gain_schedule import GainRegion, GainSchedule
 from repro.core.pid import PIDController, PIDGains
 from repro.sensing.sensor import TemperatureSensor
 from repro.sim.batch import BatchRunSpec, run_batch
+from repro.sim.batch_control import BatchGlobalController
 from repro.sim.scenarios import (
     build_global_controller,
     build_plant,
@@ -58,6 +61,32 @@ def test_pid_update_throughput(benchmark):
         output_limits=(1000.0, 8500.0),
     )
     benchmark(pid.update, 76.0)
+
+
+@pytest.mark.parametrize("due", ["whole", "subset"])
+def test_batch_control_decision_throughput(benchmark, due):
+    """One vectorized DTM decision for a 64-server R-coord batch.
+
+    ``whole`` steps every server, ``subset`` 60 of the 64 (the due set
+    of a batch with mixed CPU periods).  Each call advances one CPU
+    period, so every 30th call also carries the fan decisions.
+    """
+    n = 64
+    cfg = ServerConfig()
+    ctrl = BatchGlobalController(
+        [build_global_controller("rcoord", cfg) for _ in range(n)]
+    )
+    idx = np.arange(n) if due == "whole" else np.arange(4, n)
+    rng = np.random.default_rng(0)
+    tmeas = 78.0 + 3.0 * rng.standard_normal((97, idx.size))
+    util = rng.uniform(0.1, 0.9, (97, idx.size))
+    clock = {"k": 0}
+
+    def decide():
+        k = clock["k"] = clock["k"] + 1
+        ctrl.step_due(idx, float(k), tmeas[k % 97], util[k % 97])
+
+    benchmark(decide)
 
 
 def test_gain_schedule_lookup_throughput(benchmark):

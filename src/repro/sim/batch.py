@@ -663,7 +663,6 @@ class BatchStepper:
                 dt_s, controller.control.cpu_interval_s, record_decimation
             )
         self._n = n
-        self._all_idx = np.arange(n)
         self._plants = list(plants)
         self._sensors = list(sensors)
         self._workloads = list(workloads)
@@ -808,17 +807,6 @@ class BatchStepper:
             if vec
             else None
         )
-        # Uniform control fast lane: one shared CPU period, every DTM
-        # vectorized, and no dropout-capable faults means control steps
-        # are always whole-rack and the knob mirrors can alias the
-        # controller arrays (the all-servers step rebinds rather than
-        # mutates them), skipping three copies per decision.
-        self._ctrl_uniform = (
-            not self._controller_fallbacks
-            and not self._may_dropout
-            and bool(np.all(self._cpu_interval == self._cpu_interval[0]))
-        )
-
         # Plant-state mirrors used by the coupling (exhaust of step k
         # feeds inlets at step k+1, so these lag the knob arrays).
         self._state_fan_speed = np.array(
@@ -1045,12 +1033,7 @@ class BatchStepper:
                         t_now = _pc()
                         acc_sensing += t_now - t_prev
                         t_prev = t_now
-                    if self._ctrl_uniform:
-                        # One shared period: due is always whole-rack.
-                        due_idx = self._all_idx
-                    else:
-                        due = self._next_control <= t_plus
-                        due_idx = np.nonzero(due)[0]
+                    due_idx = np.nonzero(self._next_control <= t_plus)[0]
                     self._control_step(due_idx, t, t_plus, dem[c], applied[c])
                     self._next_control_min = float(self._next_control.min())
                     if obs is not None:
@@ -1315,76 +1298,33 @@ class BatchStepper:
     ) -> None:
         """Vectorized-controller servers: one array op chain per period."""
         ctrl = self._batch_ctrl
-        if idx.size == self._n:
-            # Whole-rack fast lane: no index gathers.  The knob mirrors
-            # are *copied* out of the controller: _step_subset (mixed
-            # CPU periods) mutates the controller arrays in place, and an
-            # aliased _fan_cmd would defeat the changed-fan detection
-            # below on those later subset steps.
-            self._batch_trackers.record_all(demand, self._cap)
-            if self._needs_deg:
-                ctrl.step_due(
-                    self._all_idx,
-                    t,
-                    self._sensing.current,
-                    applied,
-                    demand,
-                    self._batch_trackers.recent_degradation_all(),
-                )
-            else:
-                ctrl.step_due(self._all_idx, t, self._sensing.current, applied)
-            new_fan = ctrl.fan_speed_rpm
-            if new_fan is not self._fan_cmd:
-                changed = np.nonzero(new_fan != self._fan_cmd)[0]
-                if changed.size:
-                    self._apply_fan_changes(changed, new_fan[changed], t)
-            if self._ctrl_uniform:
-                # Subset steps never happen on this lane, so the
-                # controller arrays are only ever rebound (never written
-                # in place) and the mirrors may alias them directly.
-                self._fan_cmd = new_fan
-                self._cap = ctrl.cpu_cap
-                self._t_ref = ctrl.t_ref_c
-            else:
-                self._fan_cmd = new_fan.copy()
-                self._cap = ctrl.cpu_cap.copy()
-                self._t_ref = ctrl.t_ref_c.copy()
-            next_control = self._next_control
-            interval = self._cpu_interval
-        else:
-            local = self._vec_pos[idx]
-            self._batch_trackers.record(local, demand[idx], self._cap[idx])
-            if self._needs_deg:
-                ctrl.step_due(
-                    local,
-                    t,
-                    self._sensing.current[idx],
-                    applied[idx],
-                    demand[idx],
-                    self._batch_trackers.recent_degradation(local),
-                )
-            else:
-                ctrl.step_due(
-                    local, t, self._sensing.current[idx], applied[idx]
-                )
-            new_fan = ctrl.fan_speed_rpm[local]
-            changed = np.nonzero(new_fan != self._fan_cmd[idx])[0]
-            if changed.size:
-                self._apply_fan_changes(idx[changed], new_fan[changed], t)
-            self._fan_cmd[idx] = new_fan
-            self._cap[idx] = ctrl.cpu_cap[local]
-            self._t_ref[idx] = ctrl.t_ref_c[local]
-            next_control = self._next_control[idx]
-            interval = self._cpu_interval[idx]
-        while True:
-            late = next_control <= t_plus
-            if not late.any():
-                break
-            next_control = np.where(late, next_control + interval, next_control)
-        if idx.size == self._n:
-            self._next_control = next_control
-        else:
-            self._next_control[idx] = next_control
+        trackers = self._batch_trackers
+        local = self._vec_pos[idx]
+        demand = demand[idx]
+        trackers.record(local, demand, self._cap[idx])
+        ctrl.step_due(
+            local,
+            t,
+            self._sensing.current[idx],
+            applied[idx],
+            demand,
+            trackers.recent_degradation(local) if self._needs_deg else None,
+        )
+        new_fan = ctrl.fan_speed_rpm[local]
+        changed = np.nonzero(new_fan != self._fan_cmd[idx])[0]
+        if changed.size:
+            self._apply_fan_changes(idx[changed], new_fan[changed], t)
+        self._fan_cmd[idx] = new_fan
+        self._cap[idx] = ctrl.cpu_cap[local]
+        self._t_ref[idx] = ctrl.t_ref_c[local]
+        # Every row of idx is due, so each advances at least one period.
+        interval = self._cpu_interval[idx]
+        next_control = self._next_control[idx] + interval
+        while next_control.min() <= t_plus:
+            next_control = np.where(
+                next_control <= t_plus, next_control + interval, next_control
+            )
+        self._next_control[idx] = next_control
 
     def _apply_fan_changes(
         self, idx: np.ndarray, speeds: np.ndarray, t: float

@@ -27,6 +27,11 @@ scalar objects at construction and written back by :meth:`
 BatchGlobalController.sync_back`, so a scalar run can resume from a
 vectorized one with identical trajectories.
 
+:meth:`BatchGlobalController.step_due` advances any due set - the whole
+batch on a shared CPU period, a strict subset when periods are mixed or
+some servers are in failsafe - through one body, skipping the op group
+of every optional layer no due server carries.
+
 With SSfan and E-coord on the array lane, every Table III scheme runs
 vectorized.  Compositions the backend cannot represent - custom
 controller/fan/coordinator subclasses, non-stock models - are reported
@@ -87,6 +92,49 @@ CODE_TO_SS_PHASE: tuple[SingleStepPhase, ...] = tuple(SingleStepPhase)
 _SS_INACTIVE = SS_PHASE_CODES[SingleStepPhase.INACTIVE]
 _SS_BOOSTED = SS_PHASE_CODES[SingleStepPhase.BOOSTED]
 _SS_REFRACTORY = SS_PHASE_CODES[SingleStepPhase.REFRACTORY]
+
+#: Table II as a lookup on the (fan, cap) proposal signs.  Sign -1
+#: indexes the last row/column, so the signs index it directly.
+_TABLE_II = np.array(
+    [
+        # cap sign: 0      +1        -1
+        [_NONE, _CAP_UP, _CAP_DOWN],  # fan sign 0
+        [_FAN_UP, _FAN_UP, _FAN_UP],  # fan sign +1
+        [_FAN_DOWN, _CAP_UP, _FAN_DOWN],  # fan sign -1
+    ],
+    dtype=np.int8,
+)
+
+#: Whether an action code moves the CPU cap / the fan.
+_TAKES_CAP = np.isin(np.arange(len(CODE_TO_ACTION)), (_CAP_UP, _CAP_DOWN))
+_TAKES_FAN = np.isin(np.arange(len(CODE_TO_ACTION)), (_FAN_UP, _FAN_DOWN))
+
+#: :meth:`_Rows.within` result for "every due row": a basic index, so
+#: selecting with it takes views instead of gathers.
+_EVERY = slice(None)
+
+
+def _classify(delta: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`repro.core.rules.classify`: int8 -1, 0 or +1."""
+    return np.subtract(delta > _SIGN_TOL, delta < -_SIGN_TOL, dtype=np.int8)
+
+
+def _follow(
+    coord: np.ndarray | slice | None,
+    takes: np.ndarray,
+    action: np.ndarray | None,
+    default: np.ndarray | bool,
+) -> np.ndarray | bool:
+    """Which due rows move a knob.
+
+    Action-followers (the ``coord`` rows) move it when their action does
+    (``takes[action]``); the other rows follow ``default``.
+    """
+    if coord is None:
+        return default
+    if coord is _EVERY:
+        return takes[action]
+    return np.where(coord, takes[action], default)
 
 
 def batch_controller_unsupported_reason(controller: Any) -> str | None:
@@ -149,16 +197,48 @@ def batch_controller_unsupported_reason(controller: Any) -> str | None:
     return None
 
 
+class _Rows:
+    """The batch rows that carry one optional DTM layer.
+
+    :meth:`within` maps a due set onto the member rows, so each layer's
+    op group is skipped when no due row needs it and does no mask work
+    when every row of the batch is a member.
+    """
+
+    __slots__ = ("_member", "_every", "_none")
+
+    def __init__(self, member: np.ndarray) -> None:
+        self._member = member
+        self._every = bool(member.all())
+        self._none = not member.any()
+
+    def within(self, idx: np.ndarray) -> np.ndarray | slice | None:
+        """Member positions of the due set ``idx``.
+
+        ``None`` when no due row is a member, :data:`_EVERY` when every
+        row of the batch is one, else a boolean mask aligned with ``idx``.
+        """
+        if self._every:
+            return _EVERY
+        if self._none:
+            return None
+        mask = self._member[idx]
+        return mask if mask.any() else None
+
+
 class BatchTrackerBank:
     """Deadline accounting for B servers as array accumulators.
 
     Mirrors :class:`~repro.workload.performance.DeadlineTracker.record`
     element-wise (same max/compare/add sequence) and restores the scalar
-    tracker objects afterwards, sliding window included.
+    tracker objects afterwards, sliding window included.  Each server's
+    window is a ring indexed by period number: the gap of period ``p``
+    lands in slot ``p % window``, so the period count doubles as the
+    ring's head.
 
     With ``track_recent=True`` (needed when any vectorized controller
     carries SSfan) the bank additionally maintains an *append-ordered*
-    gap buffer so :meth:`recent_degradation_all` can replay the scalar
+    gap buffer so :meth:`recent_degradation` can replay the scalar
     tracker's left-to-right ``sum(recent) / len(recent)`` exactly:
     NumPy's axis reductions use pairwise accumulation, which rounds
     differently, so the mean is instead built from sequential per-column
@@ -169,16 +249,15 @@ class BatchTrackerBank:
         self, trackers: Sequence[DeadlineTracker], track_recent: bool = False
     ) -> None:
         n = len(trackers)
-        self._n = n
         self._trackers = list(trackers)
-        self._rows = np.arange(n)
         self._tol = np.array([t.tolerance for t in trackers])
         self._window = np.array([t.window for t in trackers], dtype=np.int64)
         w_max = int(self._window.max()) if n else 1
         self._ring = np.zeros((n, w_max))
-        self._head = np.zeros(n, dtype=np.int64)
-        self._count = np.zeros(n, dtype=np.int64)
         self._periods = np.zeros(n, dtype=np.int64)
+        # Period number of the oldest gap restored from the tracker: the
+        # window holds min(periods - first, window) gaps.
+        self._first = np.zeros(n, dtype=np.int64)
         self._violations = np.zeros(n, dtype=np.int64)
         self._lost = np.zeros(n)
         self._demanded = np.zeros(n)
@@ -192,9 +271,8 @@ class BatchTrackerBank:
             # Servers with a window narrower than the buffer evict into
             # this column on every shift once their window is full.
             evict_col = w_max - self._window - 1
-            self._evictable = evict_col >= 0
+            self._evictable = _Rows(evict_col >= 0)
             self._evict_col = np.maximum(evict_col, 0)
-            self._evict_rows = np.nonzero(self._evictable)[0]
         for i, tracker in enumerate(trackers):
             summary = tracker.summary
             self._periods[i] = summary.periods
@@ -202,9 +280,10 @@ class BatchTrackerBank:
             self._lost[i] = summary.lost_utilization
             self._demanded[i] = summary.demanded_utilization
             gaps = tracker.recent_gaps
+            self._first[i] = summary.periods - len(gaps)
             if gaps:
-                self._ring[i, : len(gaps)] = gaps
-                self._count[i] = len(gaps)
+                slots = (self._first[i] + np.arange(len(gaps))) % self._window[i]
+                self._ring[i, slots] = gaps
                 if track_recent:
                     self._gaps[i, w_max - len(gaps) :] = gaps
 
@@ -212,85 +291,50 @@ class BatchTrackerBank:
         self, idx: np.ndarray, demanded: np.ndarray, applied: np.ndarray
     ) -> None:
         """One control period for the servers in ``idx``."""
-        if idx.size == len(self._trackers):
-            self.record_all(demanded, applied)
-            return
         gap = np.maximum(0.0, demanded - applied)
-        self._periods[idx] += 1
+        periods = self._periods[idx]
+        self._ring[idx, periods % self._window[idx]] = gap
+        self._periods[idx] = periods + 1
         self._violations[idx] += gap > self._tol[idx]
         self._lost[idx] += gap
         self._demanded[idx] += demanded
-        window = self._window[idx]
-        count = self._count[idx]
-        head = self._head[idx]
-        full = count == window
-        slot = np.where(full, head, (head + count) % window)
-        self._ring[idx, slot] = gap
-        self._head[idx] = np.where(full, (head + 1) % window, head)
-        self._count[idx] = np.where(full, count, count + 1)
         if self._track_recent:
             gaps = self._gaps
             gaps[idx, :-1] = gaps[idx, 1:]
             gaps[idx, -1] = gap
-            evict = idx[self._evictable[idx]]
-            if evict.size:
-                gaps[evict, self._evict_col[evict]] = 0.0
+            evict = self._evictable.within(idx)
+            if evict is not None:
+                rows = idx[evict]
+                gaps[rows, self._evict_col[rows]] = 0.0
 
-    def record_all(self, demanded: np.ndarray, applied: np.ndarray) -> None:
-        """One control period for every server (gather-free fast lane)."""
-        gap = np.maximum(0.0, demanded - applied)
-        self._periods += 1
-        self._violations += gap > self._tol
-        self._lost += gap
-        self._demanded += demanded
-        window = self._window
-        count = self._count
-        head = self._head
-        full = count == window
-        slot = np.where(full, head, (head + count) % window)
-        self._ring[self._rows, slot] = gap
-        self._head = np.where(full, (head + 1) % window, head)
-        self._count = np.where(full, count, count + 1)
-        if self._track_recent:
-            gaps = self._gaps
-            gaps[:, :-1] = gaps[:, 1:]
-            gaps[:, -1] = gap
-            evict = self._evict_rows
-            if evict.size:
-                gaps[evict, self._evict_col[evict]] = 0.0
-
-    def recent_degradation_all(self) -> np.ndarray:
-        """Per-server mean recent gap, bit-identical to the scalar mean.
+    def recent_degradation(self, idx: np.ndarray) -> np.ndarray:
+        """Mean recent gap of the servers in ``idx``, bit-identical to the
+        scalar mean.
 
         Requires ``track_recent=True``.  The sum is built left-to-right
         over the shift buffer's columns - the same association order as
         ``sum(self._recent)`` on the scalar tracker - with the leading
-        zero columns acting as exact additive identities.
+        zero columns acting as exact additive identities (an empty
+        window sums to 0.0, and 0.0 / 1 is the scalar's empty mean).
         """
-        gaps = self._gaps
-        acc = np.zeros(self._n)
-        for j in range(gaps.shape[1]):
-            acc = acc + gaps[:, j]
-        return np.where(
-            self._count > 0, acc / np.maximum(self._count, 1), 0.0
-        )
-
-    def recent_degradation(self, idx: np.ndarray) -> np.ndarray:
-        """:meth:`recent_degradation_all` for a row subset."""
         gaps = self._gaps[idx]
         acc = np.zeros(idx.size)
         for j in range(gaps.shape[1]):
             acc = acc + gaps[:, j]
-        count = self._count[idx]
-        return np.where(count > 0, acc / np.maximum(count, 1), 0.0)
+        count = np.minimum(
+            self._periods[idx] - self._first[idx], self._window[idx]
+        )
+        return acc / np.maximum(count, 1)
 
     def sync_back(self) -> None:
         """Restore every tracker object to the accumulated state."""
         for i, tracker in enumerate(self._trackers):
-            count = int(self._count[i])
-            order = (int(self._head[i]) + np.arange(count)) % int(self._window[i])
+            periods = int(self._periods[i])
+            window = int(self._window[i])
+            count = min(periods - int(self._first[i]), window)
+            order = (periods - count + np.arange(count)) % window
             tracker.restore(
-                periods=int(self._periods[i]),
+                periods=periods,
                 violations=int(self._violations[i]),
                 lost_utilization=float(self._lost[i]),
                 demanded_utilization=float(self._demanded[i]),
@@ -475,9 +519,10 @@ class BatchGlobalController:
         ]
         w_max = max(windows)
         self._sp_window = np.array(windows, dtype=np.int64)
+        # A ring indexed by samples pushed: the p-th sample lands in slot
+        # ``p % window``.  Slots not yet filled hold 0.0.
         self._sp_ring = np.zeros((n, w_max))
-        self._sp_head = np.zeros(n, dtype=np.int64)
-        self._sp_count = np.zeros(n, dtype=np.int64)
+        self._sp_pushed = np.zeros(n, dtype=np.int64)
         self._sp_sum = np.zeros(n)
         for i, sp in enumerate(setpoints):
             if sp is None:
@@ -485,7 +530,7 @@ class BatchGlobalController:
             samples = sp.prediction_filter.samples
             if samples:
                 self._sp_ring[i, : len(samples)] = samples
-                self._sp_count[i] = len(samples)
+                self._sp_pushed[i] = len(samples)
             self._sp_sum[i] = sp.prediction_filter.running_sum
         # Freshest predictor output, consumed by the SSfan landing-speed
         # computation in the same step (the scalar path re-reads
@@ -552,26 +597,16 @@ class BatchGlobalController:
                 self._last_cap_prop[i] = cap_prop
                 self._last_cap_none[i] = False
 
-        # --- fast-path precomputes (the full-batch lane skips gathers and
-        # whole op groups based on these) ---
-        self._all_idx = np.arange(n)
-        self._sp_idx = np.nonzero(self._has_sp)[0]
-        self._any_sp = bool(self._has_sp.any())
-        self._all_sp = bool(self._has_sp.all())
-        self._any_capper = bool(self._has_capper.any())
-        self._all_capper = bool(self._has_capper.all())
+        # --- which rows carry each optional layer (step_due skips a
+        # layer's op group when no due row needs it) ---
+        self._capper_rows = _Rows(self._has_capper)
+        self._sp_rows = _Rows(self._has_sp)
         # Rule-based and E-coord servers both follow an *action*: only the
         # chosen knob moves.  The uncoordinated baseline applies every
-        # proposal.  ``_is_coord`` collects the action-followers.
-        self._is_coord = self._is_rule | self._is_eco
-        self._coord_idx = np.nonzero(self._is_coord)[0]
-        self._any_coord = bool(self._is_coord.any())
-        self._all_coord = bool(self._is_coord.all())
-        self._eco_idx = np.nonzero(self._is_eco)[0]
-        self._any_eco = bool(self._is_eco.any())
-        self._ss_idx = np.nonzero(self._has_ss)[0]
-        self._any_ss = bool(self._has_ss.any())
-        self._zero_sign = np.zeros(n, dtype=np.int64)
+        # proposal.
+        self._coord_rows = _Rows(self._is_rule | self._is_eco)
+        self._eco_rows = _Rows(self._is_eco)
+        self._ss_rows = _Rows(self._has_ss)
         self._next_fan_min = float(self._next_fan.min())
 
     @property
@@ -585,66 +620,31 @@ class BatchGlobalController:
 
         True when any server carries the SSfan override; the caller then
         passes the tracker bank's :meth:`BatchTrackerBank.
-        recent_degradation_all` (post-record, matching the scalar engine's
+        recent_degradation` (post-record, matching the scalar engine's
         record-then-read order).
         """
-        return self._any_ss
+        return bool(self._has_ss.any())
 
     def _update_setpoints(self, idx: np.ndarray, util: np.ndarray) -> None:
         """A-Tref: moving-average predictor -> linear T_ref schedule."""
         window = self._sp_window[idx]
-        count = self._sp_count[idx]
-        head = self._sp_head[idx]
-        full = count == window
+        pushed = self._sp_pushed[idx]
+        slot = pushed % window
         # The scalar filter subtracts the evicted sample before adding the
-        # new one; replay both float ops in that order.
-        total = np.where(
-            full, self._sp_sum[idx] - self._sp_ring[idx, head], self._sp_sum[idx]
-        )
-        slot = np.where(full, head, (head + count) % window)
+        # new one; replay both float ops in that order.  A slot not yet
+        # filled holds 0.0, and x - 0.0 == x.
+        total = self._sp_sum[idx] - self._sp_ring[idx, slot] + util
         self._sp_ring[idx, slot] = util
-        self._sp_head[idx] = np.where(full, (head + 1) % window, head)
-        count = np.where(full, count, count + 1)
-        self._sp_count[idx] = count
-        total = total + util
+        pushed = pushed + 1
+        self._sp_pushed[idx] = pushed
         self._sp_sum[idx] = total
-        predicted = total / count
+        predicted = total / np.minimum(pushed, window)
         self._sp_predicted[idx] = predicted
         fraction = (predicted - self._sp_u_low[idx]) / self._sp_u_span[idx]
         fraction = np.minimum(np.maximum(fraction, 0.0), 1.0)
         t_ref = self._sp_t_min[idx] + fraction * self._sp_t_span[idx]
         self.t_ref_c[idx] = t_ref
         self._pid_setpoint[idx] = t_ref
-
-    def _update_setpoints_all(self, util: np.ndarray) -> None:
-        """Gather-free :meth:`_update_setpoints` for the whole batch.
-
-        Same float operations on the same values (scatters become
-        rebinds), so the T_ref schedule matches the subset path bit for
-        bit.  ``t_ref_c`` and ``_pid_setpoint`` may alias after this:
-        the only in-place writers assign both the same values.
-        """
-        window = self._sp_window
-        count = self._sp_count
-        head = self._sp_head
-        full = count == window
-        total = np.where(
-            full, self._sp_sum - self._sp_ring[self._all_idx, head], self._sp_sum
-        )
-        slot = np.where(full, head, (head + count) % window)
-        self._sp_ring[self._all_idx, slot] = util
-        self._sp_head = np.where(full, (head + 1) % window, head)
-        count = np.where(full, count, count + 1)
-        self._sp_count = count
-        total = total + util
-        self._sp_sum = total
-        predicted = total / count
-        self._sp_predicted = predicted
-        fraction = (predicted - self._sp_u_low) / self._sp_u_span
-        fraction = np.minimum(np.maximum(fraction, 0.0), 1.0)
-        t_ref = self._sp_t_min + fraction * self._sp_t_span
-        self.t_ref_c = t_ref
-        self._pid_setpoint = t_ref
 
     def _fan_proposals(
         self, idx: np.ndarray, tmeas: np.ndarray
@@ -890,309 +890,124 @@ class BatchGlobalController:
     ) -> None:
         """One CPU control period for the servers in ``idx``.
 
-        ``tmeas``, ``util``, ``demand``, and ``degradation`` are aligned
-        with ``idx``.  ``demand`` (OS demand estimate) and
-        ``degradation`` (post-record recent mean deficit) are required
-        when any server carries the SSfan override (see
-        :attr:`needs_degradation`); without SSfan they are unused.
-        Updated knob settings land in :attr:`fan_speed_rpm` /
-        :attr:`cpu_cap`.
+        ``idx`` is any due set, the whole batch included.  ``tmeas``,
+        ``util``, ``demand``, and ``degradation`` are aligned with
+        ``idx``.  ``demand`` (OS demand estimate) and ``degradation``
+        (post-record recent mean deficit) are required when a due server
+        carries the SSfan override (see :attr:`needs_degradation`);
+        without SSfan they are unused.  Updated knob settings land in
+        :attr:`fan_speed_rpm` / :attr:`cpu_cap`.
         """
-        if self._any_ss and degradation is None:
+        ss = self._ss_rows.within(idx)
+        if ss is not None and degradation is None:
             raise SimulationError(
                 "SSfan servers need the degradation signal; pass "
                 "demand/degradation to step_due"
             )
-        if idx.size == self._n:
-            self._step_all(t, tmeas, util, demand, degradation)
-        else:
-            self._step_subset(idx, t, tmeas, util, demand, degradation)
 
-    def _step_all(
-        self,
-        t: float,
-        tmeas: np.ndarray,
-        util: np.ndarray,
-        demand: np.ndarray | None = None,
-        degradation: np.ndarray | None = None,
-    ) -> None:
-        """All servers due at once (the common case: shared CPU period).
-
-        Same decision sequence as :meth:`_step_subset`, minus the
-        index gathers, and with whole op groups skipped when no server
-        needs them (no fan period due, no capper, no set-point).
-        """
         # Section V-B: predictive T_ref adjustment, every CPU period.
-        if self._any_sp:
-            if self._all_sp:
-                self._update_setpoints_all(util)
-            else:
-                self._update_setpoints(self._sp_idx, util[self._has_sp])
+        sp = self._sp_rows.within(idx)
+        if sp is not None:
+            self._update_setpoints(idx[sp], util[sp])
 
-        # Deadzone cap proposals.
-        cap = self.cpu_cap
-        if self._any_capper:
+        # Deadzone cap proposals (no-capper rows of a mixed due set get
+        # no-op coefficients and a zero sign).
+        cap = self.cpu_cap[idx]
+        capper = self._capper_rows.within(idx)
+        if capper is None:
+            du = np.zeros(idx.size, dtype=np.int8)
+            self._last_cap_none[idx] = True
+        else:
+            step = self._cap_step[idx]
             proposed = np.where(
-                tmeas > self._cap_high,
-                cap - self._cap_step,
-                np.where(tmeas < self._cap_low, cap + self._cap_step, cap),
+                tmeas > self._cap_high[idx],
+                cap - step,
+                np.where(tmeas < self._cap_low[idx], cap + step, cap),
             )
             cap_prop = np.minimum(
-                np.maximum(proposed, self._cap_min), self._cap_max
+                np.maximum(proposed, self._cap_min[idx]), self._cap_max[idx]
             )
-            self._last_cap_prop = cap_prop
-            self._last_cap_none = ~self._has_capper
-            d_cap = cap_prop - cap
-            du = np.where(
-                d_cap > _SIGN_TOL, 1, np.where(d_cap < -_SIGN_TOL, -1, 0)
-            )
-            if not self._all_capper:
-                du = np.where(self._has_capper, du, 0)
-        else:
-            cap_prop = cap
-            self._last_cap_none.fill(True)
-            du = self._zero_sign
+            self._last_cap_prop[idx] = cap_prop
+            du = _classify(cap_prop - cap)
+            if capper is _EVERY:
+                self._last_cap_none[idx] = False
+            else:
+                self._last_cap_none[idx] = ~capper
+                du *= capper
 
-        # Fan proposals, only when some server's fan period is due.
+        # Fan proposals, for the due servers whose fan period is due too.
         t_plus = t + 1e-9
-        any_fan = self._next_fan_min <= t_plus
-        if any_fan:
-            fan_due = self._next_fan <= t_plus
-            due = np.nonzero(fan_due)[0]
-            if due.size == self._n:
-                fan_prop = self._fan_proposals(self._all_idx, tmeas)
-            else:
-                fan_prop = np.zeros(self._n)
-                fan_prop[fan_due] = self._fan_proposals(due, tmeas[fan_due])
-            nxt = self._next_fan[due]
-            interval = self._fan_interval[due]
-            while True:
-                late = nxt <= t_plus
-                if not late.any():
-                    break
-                nxt = np.where(late, nxt + interval, nxt)
-            self._next_fan[due] = nxt
-            self._next_fan_min = float(self._next_fan.min())
-            self._last_fan_prop = fan_prop
-            self._last_fan_none = ~fan_due
-        else:
-            self._last_fan_none.fill(True)
-
-        # Global coordination (Table II codes / E-coord / apply-all).
-        cur_fan = self.fan_speed_rpm
-        if any_fan:
-            d_fan = fan_prop - cur_fan
-            ds = np.where(
-                fan_due,
-                np.where(
-                    d_fan > _SIGN_TOL, 1, np.where(d_fan < -_SIGN_TOL, -1, 0)
-                ),
-                0,
-            )
-            action = np.where(
-                ds > 0,
-                _FAN_UP,
-                np.where(
-                    ds < 0,
-                    np.where(du > 0, _CAP_UP, _FAN_DOWN),
-                    np.where(du > 0, _CAP_UP, np.where(du < 0, _CAP_DOWN, _NONE)),
-                ),
-            ).astype(np.int8)
-        else:
-            # ds == 0 everywhere: only the cap column of Table II remains.
-            action = np.where(
-                du > 0, _CAP_UP, np.where(du < 0, _CAP_DOWN, _NONE)
-            ).astype(np.int8)
-
-        if self._any_eco:
-            eco = self._eco_idx
-            if any_fan:
-                eco_ds = ds[eco]
-                eco_prop = fan_prop[eco]
-            else:
-                eco_ds = self._zero_sign[eco]
-                eco_prop = cur_fan[eco]
-            action[eco] = self._eco_actions(
-                eco, tmeas[eco], eco_ds, du[eco], eco_prop, cur_fan[eco]
-            )
-
-        if self._all_coord:
-            take_cap = (action == _CAP_UP) | (action == _CAP_DOWN)
-        elif self._any_coord:
-            take_cap = np.where(
-                self._is_coord,
-                (action == _CAP_UP) | (action == _CAP_DOWN),
-                self._has_capper,
-            )
-        else:
-            take_cap = self._has_capper
-        self.cpu_cap = np.where(take_cap, cap_prop, cap)
-
-        if any_fan:
-            if self._all_coord:
-                take_fan = (action == _FAN_UP) | (action == _FAN_DOWN)
-            elif self._any_coord:
-                take_fan = np.where(
-                    self._is_coord,
-                    (action == _FAN_UP) | (action == _FAN_DOWN),
-                    fan_due,
-                )
-            else:
-                take_fan = fan_due
-            new_fan = np.where(take_fan, fan_prop, cur_fan)
-        else:
-            new_fan = cur_fan
-
-        # Section V-C: SSfan override after coordination.
-        if self._any_ss:
-            assert demand is not None and degradation is not None
-            ss = self._ss_idx
-            if ss.size == self._n:
-                new_fan = self._ssfan_override(
-                    ss, new_fan, util, demand, degradation
-                )
-            else:
-                if new_fan is cur_fan:
-                    new_fan = cur_fan.copy()
-                new_fan[ss] = self._ssfan_override(
-                    ss, new_fan[ss], util[ss], demand[ss], degradation[ss]
-                )
-            self.fan_speed_rpm = new_fan
-            # notify_applied: clamp into the physical limits.
-            self._applied = np.minimum(
-                np.maximum(new_fan, self._v_min), self._v_max
-            )
-        elif any_fan:
-            self.fan_speed_rpm = new_fan
-            # notify_applied: clamp into the physical limits.
-            self._applied = np.minimum(
-                np.maximum(new_fan, self._v_min), self._v_max
-            )
-
-        # Row indices are distinct (one action per server), so the
-        # buffered fancy-index add is exact and cheaper than np.add.at.
-        if self._all_coord:
-            self._last_action = action
-            self._action_counts[self._all_idx, action] += 1
-        elif self._any_coord:
-            coord_idx = self._coord_idx
-            coord_action = action[coord_idx]
-            self._last_action[coord_idx] = coord_action
-            self._action_counts[coord_idx, coord_action] += 1
-
-    def _step_subset(
-        self,
-        idx: np.ndarray,
-        t: float,
-        tmeas: np.ndarray,
-        util: np.ndarray,
-        demand: np.ndarray | None = None,
-        degradation: np.ndarray | None = None,
-    ) -> None:
-        """General path for a strict due subset (mixed CPU periods)."""
-        # Section V-B: predictive T_ref adjustment, every CPU period.
-        has_sp = self._has_sp[idx]
-        if has_sp.any():
-            self._update_setpoints(idx[has_sp], util[has_sp])
-
-        # Deadzone cap proposals (dummy coefficients make the no-capper
-        # rows a no-op; they are masked out of the coordination below).
-        cap = self.cpu_cap[idx]
-        proposed = np.where(
-            tmeas > self._cap_high[idx],
-            cap - self._cap_step[idx],
-            np.where(tmeas < self._cap_low[idx], cap + self._cap_step[idx], cap),
-        )
-        cap_prop = np.minimum(
-            np.maximum(proposed, self._cap_min[idx]), self._cap_max[idx]
-        )
-
-        # Fan proposals for servers whose fan period is due.
-        t_plus = t + 1e-9
-        fan_due = self._next_fan[idx] <= t_plus
-        fan_prop = np.zeros(idx.size)
-        if fan_due.any():
-            due = idx[fan_due]
-            fan_prop[fan_due] = self._fan_proposals(due, tmeas[fan_due])
-            nxt = self._next_fan[due]
-            interval = self._fan_interval[due]
-            while True:
-                late = nxt <= t_plus
-                if not late.any():
-                    break
-                nxt = np.where(late, nxt + interval, nxt)
-            self._next_fan[due] = nxt
-            self._next_fan_min = float(self._next_fan.min())
-
-        self._last_fan_prop[idx] = fan_prop
-        self._last_fan_none[idx] = ~fan_due
-        has_capper = self._has_capper[idx]
-        self._last_cap_prop[idx] = cap_prop
-        self._last_cap_none[idx] = ~has_capper
-
-        # Global coordination: Table II for rule-based servers, apply-all
-        # for the uncoordinated baseline.
         cur_fan = self.fan_speed_rpm[idx]
-        d_fan = fan_prop - cur_fan
-        ds = np.where(
-            fan_due,
-            np.where(d_fan > _SIGN_TOL, 1, np.where(d_fan < -_SIGN_TOL, -1, 0)),
-            0,
-        )
-        d_cap = cap_prop - cap
-        du = np.where(
-            has_capper,
-            np.where(d_cap > _SIGN_TOL, 1, np.where(d_cap < -_SIGN_TOL, -1, 0)),
-            0,
-        )
-        action = np.where(
-            ds > 0,
-            _FAN_UP,
-            np.where(
-                ds < 0,
-                np.where(du > 0, _CAP_UP, _FAN_DOWN),
-                np.where(du > 0, _CAP_UP, np.where(du < 0, _CAP_DOWN, _NONE)),
-            ),
-        ).astype(np.int8)
-        eco = self._is_eco[idx]
-        if eco.any():
-            action[eco] = self._eco_actions(
-                idx[eco],
-                tmeas[eco],
-                ds[eco],
-                du[eco],
-                fan_prop[eco],
-                cur_fan[eco],
+        fan_due = None
+        if self._next_fan_min <= t_plus:
+            mask = self._next_fan[idx] <= t_plus
+            due = idx[mask]
+            if due.size:
+                fan_due = mask
+                fan_prop = np.zeros(idx.size)
+                fan_prop[fan_due] = self._fan_proposals(due, tmeas[fan_due])
+                nxt = self._next_fan[due]
+                interval = self._fan_interval[due]
+                while True:
+                    late = nxt <= t_plus
+                    if not late.any():
+                        break
+                    nxt = np.where(late, nxt + interval, nxt)
+                self._next_fan[due] = nxt
+                self._next_fan_min = float(self._next_fan.min())
+        if fan_due is None:
+            ds = np.zeros(idx.size, dtype=np.int8)
+            self._last_fan_none[idx] = True
+        else:
+            ds = _classify(fan_prop - cur_fan) * fan_due
+            self._last_fan_prop[idx] = fan_prop
+            self._last_fan_none[idx] = ~fan_due
+
+        # Global coordination: action-followers (Table II codes, E-coord)
+        # move only the chosen knob; the uncoordinated baseline applies
+        # every proposal it has.
+        action = None
+        coord = self._coord_rows.within(idx)
+        if coord is not None:
+            action = _TABLE_II[ds, du]
+            eco = self._eco_rows.within(idx)
+            if eco is not None:
+                action[eco] = self._eco_actions(
+                    idx[eco],
+                    tmeas[eco],
+                    ds[eco],
+                    du[eco],
+                    cur_fan[eco] if fan_due is None else fan_prop[eco],
+                    cur_fan[eco],
+                )
+            # Row indices are distinct (one action per server), so the
+            # buffered fancy-index add is exact and cheaper than np.add.at.
+            rows = idx[coord]
+            taken = action[coord]
+            self._last_action[rows] = taken
+            self._action_counts[rows, taken] += 1
+        if capper is not None:
+            take_cap = _follow(
+                coord, _TAKES_CAP, action, True if capper is _EVERY else capper
             )
-        coord = self._is_coord[idx]
-        take_fan = np.where(
-            coord, (action == _FAN_UP) | (action == _FAN_DOWN), fan_due
-        )
-        take_cap = np.where(
-            coord, (action == _CAP_UP) | (action == _CAP_DOWN), has_capper
-        )
-        new_fan = np.where(take_fan, fan_prop, cur_fan)
-        new_cap = np.where(take_cap, cap_prop, cap)
-        if coord.any():
-            coord_idx = idx[coord]
-            coord_action = action[coord]
-            self._last_action[coord_idx] = coord_action
-            self._action_counts[coord_idx, coord_action] += 1
+            self.cpu_cap[idx] = np.where(take_cap, cap_prop, cap)
+        new_fan = cur_fan
+        if fan_due is not None:
+            take_fan = _follow(coord, _TAKES_FAN, action, fan_due)
+            new_fan = np.where(take_fan, fan_prop, cur_fan)
 
         # Section V-C: SSfan override after coordination.
-        ss = self._has_ss[idx]
-        if ss.any():
+        if ss is not None:
             assert demand is not None and degradation is not None
             new_fan[ss] = self._ssfan_override(
                 idx[ss], new_fan[ss], util[ss], demand[ss], degradation[ss]
             )
-
-        self.fan_speed_rpm[idx] = new_fan
-        self.cpu_cap[idx] = new_cap
-        # notify_applied: clamp into the physical limits.
-        self._applied[idx] = np.minimum(
-            np.maximum(new_fan, self._v_min[idx]), self._v_max[idx]
-        )
+        if fan_due is not None or ss is not None:
+            self.fan_speed_rpm[idx] = new_fan
+            # notify_applied: clamp into the physical limits.
+            self._applied[idx] = np.minimum(
+                np.maximum(new_fan, self._v_min[idx]), self._v_max[idx]
+            )
 
     def sync_back(self) -> None:
         """Write the final batch state into the scalar controller objects.
@@ -1244,10 +1059,10 @@ class BatchGlobalController:
                 )
             setpoint = controller.setpoint
             if setpoint is not None:
-                count = int(self._sp_count[i])
-                order = (int(self._sp_head[i]) + np.arange(count)) % int(
-                    self._sp_window[i]
-                )
+                pushed = int(self._sp_pushed[i])
+                window = int(self._sp_window[i])
+                count = min(pushed, window)
+                order = (pushed - count + np.arange(count)) % window
                 setpoint.prediction_filter.restore(
                     samples=tuple(float(s) for s in self._sp_ring[i, order]),
                     total=float(self._sp_sum[i]),

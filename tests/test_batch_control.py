@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
+from itertools import product
 
 from repro.config import ControlConfig, FleetConfig, ServerConfig
 from repro.core.cpu_capper import DeadzoneCpuCapper
@@ -24,6 +27,7 @@ from repro.core.global_controller import GlobalController
 from repro.core.rules import RuleBasedCoordinator
 from repro.fleet import FleetSimulator, Rack, build_fleet_scenario
 from repro.fleet.rack import ServerSlot
+from repro.sim.batch_control import BatchTrackerBank
 from repro.sim import (
     BatchRunSpec,
     ParameterSweep,
@@ -35,6 +39,7 @@ from repro.sim import (
     paper_workload,
     run_batch,
 )
+from repro.workload.performance import DeadlineTracker
 from repro.workload.synthetic import NoisyWorkload, SquareWaveWorkload
 
 _N = 4
@@ -269,14 +274,19 @@ class TestSeededSweep:
             assert ps.result.energy == pv.result.energy
 
 
-def _interval_pieces(cpu_interval_s: float):
-    """One server whose CPU period differs from its batch peers'."""
+def _interval_pieces(scheme: str, cpu_interval_s: float):
+    """One server whose CPU period may differ from its batch peers'.
+
+    A hot inlet and full-load bursts make the capper cut below demand, so
+    the deadline trackers see gaps and SSfan boosts.
+    """
     cfg = replace(
         ServerConfig(),
+        ambient_c=35.0,
         control=ControlConfig(cpu_interval_s=cpu_interval_s, fan_interval_s=3.0),
     )
     workload = NoisyWorkload(
-        SquareWaveWorkload(low=0.1, high=0.7, half_period_s=15.0),
+        SquareWaveWorkload(low=0.1, high=1.0, half_period_s=40.0),
         std=0.04,
         seed=5,
     )
@@ -284,49 +294,130 @@ def _interval_pieces(cpu_interval_s: float):
         build_plant(cfg),
         build_sensor(cfg, seed=5),
         workload,
-        build_global_controller("rcoord", cfg),
+        build_global_controller(scheme, cfg),
     )
 
 
+#: Servers of each subset-step batch as (scheme, CPU period s, deadline
+#: tracker window).  Mixed CPU periods make control steps on which only
+#: a strict subset of the batch is due; the mixed batch also makes those
+#: subsets hit partial capper, set-point, E-coord and SSfan groups.
+_SUBSET_BATCHES = {
+    **{
+        scheme: ((scheme, 1.0, 10), (scheme, 2.0, 10))
+        for scheme in VECTORIZED_SCHEMES
+    },
+    "mixed": tuple(
+        (scheme, cpu_interval_s, window)
+        for window, (scheme, cpu_interval_s) in enumerate(
+            product(VECTORIZED_SCHEMES, (1.0, 2.0, 3.0)), start=2
+        )
+    ),
+}
+
+_SUBSET_S = 240.0
+
+
 class TestHeterogeneousCpuPeriods:
-    def test_subset_control_steps_bit_for_bit(self):
+    @pytest.mark.parametrize("batch", list(_SUBSET_BATCHES))
+    def test_subset_control_steps_bit_for_bit(self, batch):
         """Mixed CPU periods make fan decisions land on steps where only
         a strict subset of the batch is due; those subset steps must
         apply fan changes to the plant exactly like the scalar engine
         (regression: the whole-rack lane once aliased its fan mirror to
-        the controller arrays, defeating the changed-fan detection)."""
-        intervals = (1.0, 2.0)
-
-        def spec(cpu_interval_s: float) -> BatchRunSpec:
-            plant, sensor, workload, controller = _interval_pieces(
-                cpu_interval_s
-            )
-            return BatchRunSpec(
-                plant=plant,
-                sensor=sensor,
-                workload=workload,
-                controller=controller,
-                duration_s=120.0,
-                dt_s=_DT,
-                record_decimation=_DEC,
-                label=f"cpu={cpu_interval_s:g}",
-            )
-
-        vectorized = run_batch([spec(ci) for ci in intervals])
-        for i, cpu_interval_s in enumerate(intervals):
-            plant, sensor, workload, controller = _interval_pieces(
-                cpu_interval_s
-            )
-            scalar = Simulator(
-                plant, sensor, workload, controller,
-                dt_s=_DT, record_decimation=_DEC,
-            ).run(120.0)
-            for name, channel in scalar.channels.items():
-                assert np.array_equal(channel, vectorized[i].channels[name]), (
-                    f"cpu_interval {cpu_interval_s} channel {name} diverged"
+        the controller arrays, defeating the changed-fan detection), and
+        the state synced back after them must resume a scalar run on the
+        scalar twin's trajectory."""
+        servers = _SUBSET_BATCHES[batch]
+        pieces = [_interval_pieces(scheme, ci) for scheme, ci, _ in servers]
+        vectorized = run_batch(
+            [
+                BatchRunSpec(
+                    plant=plant,
+                    sensor=sensor,
+                    workload=workload,
+                    controller=controller,
+                    duration_s=_SUBSET_S,
+                    dt_s=_DT,
+                    record_decimation=_DEC,
+                    degradation_window=window,
                 )
-            assert scalar.performance == vectorized[i].performance
-            assert scalar.energy == vectorized[i].energy
+                for (plant, sensor, workload, controller), (_, _, window) in zip(
+                    pieces, servers
+                )
+            ]
+        )
+        for i, (scheme, cpu_interval_s, window) in enumerate(servers):
+            label = f"{scheme} cpu={cpu_interval_s:g} window={window}"
+
+            def scalar_run(plant, sensor, workload, controller):
+                return Simulator(
+                    plant, sensor, workload, controller,
+                    dt_s=_DT, record_decimation=_DEC, degradation_window=window,
+                ).run(_SUBSET_S)
+
+            twin = _interval_pieces(scheme, cpu_interval_s)
+            scalar = scalar_run(*twin)
+            resumed_s = scalar_run(*twin)
+            resumed_v = scalar_run(*pieces[i])
+            for reference, result in (
+                (scalar, vectorized[i]),
+                (resumed_s, resumed_v),
+            ):
+                for name, channel in reference.channels.items():
+                    assert np.array_equal(channel, result.channels[name]), (
+                        f"{label}: channel {name} diverged"
+                    )
+                assert reference.performance == result.performance, label
+                assert reference.energy == result.energy, label
+
+
+class TestTrackerBank:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6), st.data())
+    def test_records_match_scalar_trackers(self, windows, data):
+        """Whole-batch and subset records replay DeadlineTracker.record:
+        the recent degradation is bit-equal to the scalar trackers' after
+        every call, and sync_back restores equal summaries and windows."""
+        n = len(windows)
+        gap = st.floats(0.0, 1.0)
+        banked = [DeadlineTracker(window=w) for w in windows]
+        reference = [DeadlineTracker(window=w) for w in windows]
+        for w, a, b in zip(windows, banked, reference):
+            history = tuple(data.draw(st.lists(gap, max_size=w)))
+            periods = len(history) + data.draw(st.integers(0, 40))
+            for tracker in (a, b):
+                tracker.restore(
+                    periods=periods,
+                    violations=0,
+                    lost_utilization=sum(history),
+                    demanded_utilization=float(len(history)),
+                    recent_gaps=history,
+                )
+        bank = BatchTrackerBank(banked, track_recent=True)
+        everyone = np.arange(n)
+        for _ in range(data.draw(st.integers(1, 30))):
+            if data.draw(st.booleans()):
+                idx = everyone
+            else:
+                idx = np.array(
+                    sorted(
+                        data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+                    )
+                )
+            per_row = st.lists(gap, min_size=idx.size, max_size=idx.size)
+            demanded = np.array(data.draw(per_row))
+            applied = np.array(data.draw(per_row))
+            bank.record(idx, demanded, applied)
+            for k, i in enumerate(idx):
+                reference[i].record(float(demanded[k]), float(applied[k]))
+            assert bank.recent_degradation(everyone).tolist() == [
+                t.recent_degradation for t in reference
+            ]
+        bank.sync_back()
+        for a, b in zip(banked, reference):
+            assert a.summary == b.summary
+            assert a.recent_gaps == b.recent_gaps
 
 
 class TestUnsupportedReasons:
