@@ -14,10 +14,12 @@ Process-level parallelism composes with the vectorized backend twice
 over: each worker advances racks as array ops, and the runner **chunks
 same-shape tasks** (equal server count and time grid) so one worker
 stacks several racks into a single ``(n_racks * B,)`` batch via
-:func:`repro.room.stack.run_stacked_racks` - block-diagonal coupling,
-so every result stays bit-for-bit identical to its solo run while the
-Python dispatch is paid once per chunk instead of once per rack.  The
-chunk each result rode in is recorded under ``result.extras["chunk"]``.
+:func:`repro.room.simulator.run_stacked_racks` - the rack driver
+(:class:`~repro.fleet.simulator.LockstepDriver`) over the chunk's racks
+under block-diagonal coupling, so every result stays bit-for-bit
+identical to its solo run while the Python dispatch is paid once per
+chunk instead of once per rack.  The chunk each result rode in is
+recorded under ``result.extras["chunk"]``.
 Set ``chunk_size=1`` to force one rack per task, or
 ``CampaignTask.backend="scalar"`` to force the reference loop, e.g.
 when profiling or bisecting a backend discrepancy.
@@ -281,7 +283,10 @@ def run_campaign_chunk(
         ]
     if len(tasks) == 1:
         return [run_campaign_task(tasks[0], queue=queue, index=indices[0])]
-    from repro.room.stack import run_stacked_racks, stacked_unsupported_reason
+    from repro.room.simulator import (
+        run_stacked_racks,
+        stacked_unsupported_reason,
+    )
 
     racks = [_build_rack(task) for task in tasks]
     if any(task.faults is not None for task in tasks):
@@ -312,8 +317,6 @@ def run_campaign_chunk(
         dt_s=tasks[0].dt_s,
         record_decimation=tasks[0].record_decimation,
         labels=labels,
-        # stacked_unsupported_reason already vetted these racks above.
-        precheck=False,
         backend=batch_backend,
     )
     worker = worker_info(time.perf_counter() - t0)

@@ -17,12 +17,14 @@ while keeping the execution model array-shaped:
 * :class:`~repro.room.room.Room` - the passive composition (racks +
   topology + coupling + CRACs).
 * :class:`~repro.room.simulator.RoomSimulator` - runs the whole room as
-  **one** ``(n_racks * B,)`` stacked batch, reusing
+  **one** ``(n_racks * B,)`` stacked batch through the rack driver
+  (:class:`~repro.fleet.simulator.LockstepDriver`), reusing
   :class:`~repro.sim.batch.BatchStepper` and the vectorized controller
   lane unchanged; scalar reference backend for equivalence testing.
-* :mod:`repro.room.stack` - the stacked-batch machinery, also used by
-  :class:`~repro.fleet.campaign.CampaignRunner` to chunk same-shape
-  rack tasks into one run.
+* :func:`~repro.room.simulator.run_stacked_racks` - independent
+  same-shape racks as one stacked batch on the same driver, used by
+  :class:`~repro.fleet.campaign.CampaignRunner` to chunk rack tasks
+  into one run.
 * :mod:`repro.room.scenarios` - canned rooms (uniform, hot-spot rack,
   failed CRAC, mixed-scheme aisles).
 """
@@ -41,8 +43,8 @@ from repro.room.scenarios import (
     mixed_aisles_room,
     uniform_room,
 )
-from repro.room.simulator import RoomSimulator
-from repro.room.stack import (
+from repro.room.simulator import (
+    RoomSimulator,
     run_stacked_racks,
     stacked_unsupported_reason,
 )

@@ -1,51 +1,43 @@
-"""Lockstep room simulation driver.
+"""Room and stacked-rack runs on the lockstep rack driver.
 
-:class:`RoomSimulator` advances every server of every rack in a
-:class:`~repro.room.room.Room` through the same time grid, mirroring
-:class:`~repro.fleet.simulator.FleetSimulator` one level up:
+A room *is* one flat rack under its sparse operator, and so is a chunk
+of independent racks stacked side by side under their block-diagonal
+one.  Both run through :class:`~repro.fleet.simulator.LockstepDriver`,
+the same driver :class:`~repro.fleet.simulator.FleetSimulator` uses:
 
-* ``"vectorized"`` (alias ``"fused"``) - all racks stack into **one**
-  ``(R*B,)``-wide :class:`~repro.sim.batch.BatchStepper` (via
-  :mod:`repro.room.stack`), with the room's
-  :class:`~repro.room.coupling.SparseCoupling` applied as a block-sparse
-  mat-vec once per ``dt``.  This is the room's native execution model:
-  the Python dispatch is paid once for the whole room instead of once
-  per rack.
-* ``"scalar"`` - one :class:`~repro.sim.engine.ServerStepper` per
-  server with :meth:`Room.update_inlets` once per step; the bit-for-bit
-  reference the stacked path is tested against.
-
-``backend="auto"`` (the default) stacks whenever the room's plants and
-sensors support batching, falling back to scalar (with the reason
-recorded in ``RoomResult.extras``) otherwise.
+* :class:`RoomSimulator` advances every server of every rack in a
+  :class:`~repro.room.room.Room` through the same time grid.  On the
+  ``"vectorized"`` lane (alias ``"fused"``) all racks stack into **one**
+  ``(R*B,)``-wide :class:`~repro.sim.batch.BatchStepper`, with the
+  room's :class:`~repro.room.coupling.SparseCoupling` applied as a
+  block-sparse mat-vec once per control window; the ``"scalar"`` lane
+  steps one :class:`~repro.sim.engine.ServerStepper` per server with the
+  coupling applied once per ``dt``, the bit-for-bit reference.
+  ``backend="auto"`` (the default) stacks whenever the room's plants
+  and sensors support batching, falling back to scalar (with the reason
+  recorded in ``RoomResult.extras``) otherwise.
+* :func:`run_stacked_racks` runs many same-shape racks as one stacked
+  batch.  The batch lane's throughput comes from amortizing its Python
+  dispatch over the batch width, so R racks of B servers run faster as
+  one ``(R*B,)`` batch than as R separate ``(B,)`` runs; campaigns use
+  it for chunks of same-shape rack tasks.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
-
-import numpy as np
+from typing import Sequence
 
 from repro.errors import SimulationError
+from repro.fleet.rack import Rack
 from repro.fleet.result import FleetResult
-from repro.obs.collector import resolve_obs
+from repro.fleet.simulator import LockstepDriver
+from repro.room.coupling import SparseCoupling
 from repro.room.result import RoomResult
 from repro.room.room import Room
-from repro.room.stack import (
-    split_stacked_results,
-    stacked_stepper,
-    stacked_unsupported_reason,
-)
-from repro.sim.engine import ServerStepper
-from repro.units import check_duration
-from repro.workload.performance import DeadlineTracker
-
-#: Valid execution backends (same meaning as FleetSimulator's).
-BACKENDS = ("auto", "scalar", "vectorized", "fused")
+from repro.sim.batch import batch_unsupported_reason, check_batch_backend
 
 
-class RoomSimulator:
+class RoomSimulator(LockstepDriver):
     """Step a whole room in lockstep with sparse recirculation coupling.
 
     Parameters mirror :class:`~repro.fleet.simulator.FleetSimulator`,
@@ -66,120 +58,52 @@ class RoomSimulator:
         faults=None,
         obs=None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise SimulationError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
+        super().__init__(
+            dt_s,
+            record_decimation,
+            violation_tolerance,
+            degradation_window,
+            backend,
+            faults,
+            obs,
+        )
         self._room = room
-        self._dt = check_duration(dt_s, "dt_s")
-        self._decimation = record_decimation
-        self._violation_tolerance = violation_tolerance
-        self._degradation_window = degradation_window
-        self._backend = backend
         self._inlet_limit_c = (
             room.inlet_limit_c if inlet_limit_c is None else inlet_limit_c
         )
-        self._faults = faults
-        self._obs = resolve_obs(obs)
 
     @property
     def room(self) -> Room:
         """The room being simulated."""
         return self._room
 
-    @property
-    def backend(self) -> str:
-        """The configured execution backend."""
-        return self._backend
-
-    @property
-    def obs(self):
-        """The run's resolved collector (None when uninstrumented).
-
-        A :class:`~repro.obs.live.LiveObsServer` attaches here to serve
-        ``/metrics`` while the run executes.
-        """
-        return self._obs
-
-    def _injector(self):
-        """Fresh per-run fault machinery bound to the room (or None)."""
-        if self._faults is None:
-            return None
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(
-            self._faults, [slot.plant for slot in self._room]
-        )
+    def _bind_faults(self, injector) -> None:
+        """Room runs route CRAC events into the room coupling."""
         injector.bind_coupling(self._room.coupling, len(self._room.cracs))
-        return injector
+
+    def _monitor_scope(self) -> dict:
+        """Room runs also check inlets against the supply limit."""
+        return {"room": self._room, "inlet_limit_c": self._inlet_limit_c}
 
     def run(self, duration_s: float, label: str = "room") -> RoomResult:
         """Simulate the whole room for ``duration_s`` seconds."""
-        check_duration(duration_s, "duration_s")
-        n_steps = int(round(duration_s / self._dt))
-        if n_steps < 1:
-            raise SimulationError(f"duration {duration_s} shorter than one step")
-
-        # Arm the coupling's dynamic CRAC supply filter (no-op when
-        # static) so both lanes step the same RC states from zero.
-        coupling = self._room.coupling
-        if getattr(coupling, "is_dynamic", False):
-            coupling.prepare_run(self._dt)
-        injector = self._injector()
-        obs = self._obs
-        if obs is not None:
-            from repro.obs.monitor import arm_run_monitor
-
-            obs.label = label
-            obs.arm_stream(self._room.slots[0].plant.time_s)
-            if injector is not None:
-                injector.bind_obs(obs)
-            arm_run_monitor(
-                obs,
-                plants=[slot.plant for slot in self._room],
-                controllers=[slot.controller for slot in self._room],
-                start_s=self._room.slots[0].plant.time_s,
-                label=label,
-                sensors=[slot.sensor for slot in self._room],
-                schedule=self._faults,
-                room=self._room,
-                inlet_limit_c=self._inlet_limit_c,
-            )
-
-        fallback_reason = None
-        if self._backend in ("auto", "vectorized", "fused"):
-            fallback_reason = stacked_unsupported_reason(
-                self._room.racks, self._room.coupling
-            )
-            if fallback_reason is None:
-                return self._run_vectorized(n_steps, label, injector)
-        extras = {"backend": "scalar"}
-        if fallback_reason is not None:
-            extras["fallback_reason"] = fallback_reason
-        return self._run_scalar(n_steps, label, extras, injector)
-
-    # ------------------------------------------------------------------
-
-    def _rack_labels(self, label: str) -> list[str]:
-        return [f"{label}/rack{r:02d}" for r in range(self._room.n_racks)]
-
-    def _package(
-        self,
-        rack_results: list[FleetResult],
-        label: str,
-        extras: dict,
-    ) -> RoomResult:
         room = self._room
+        rack_results, extras = self.run_lockstep(
+            room,
+            room.racks,
+            [f"{label}/rack{r:02d}" for r in range(room.n_racks)],
+            duration_s,
+            label,
+        )
         crac_energy = 0.0
         for crac in room.cracs:
             heat_j = sum(
                 rack_results[r].metrics.total_energy_j for r in crac.racks
             )
             crac_energy += crac.energy_j(heat_j)
-        extras = dict(extras)
-        extras.setdefault("n_racks", room.n_racks)
-        extras.setdefault("stacked_width", room.n_servers)
-        extras.setdefault("containment", room.topology.containment)
+        extras["n_racks"] = room.n_racks
+        extras["stacked_width"] = room.n_servers
+        extras["containment"] = room.topology.containment
         return RoomResult(
             rack_results=tuple(rack_results),
             supply_c=room.supply_temperatures_c(),
@@ -189,137 +113,63 @@ class RoomSimulator:
             extras=extras,
         )
 
-    def _fault_extras(self, extras: dict, injector, n_steps: int) -> dict:
-        from repro.faults.injector import attach_fault_summary
 
-        return attach_fault_summary(extras, injector, n_steps * self._dt)
-
-    def _obs_extras(self, extras: dict) -> dict:
-        """Finalize the run's collector and attach ``extras["obs"]``."""
-        obs = self._obs
-        if obs is not None:
-            obs.finish_run(self._room.slots[0].plant.time_s)
-            extras["obs"] = obs.summary()
-        return extras
-
-    def _run_vectorized(
-        self, n_steps: int, label: str, injector=None
-    ) -> RoomResult:
-        room = self._room
-        batch_backend = (
-            "fused" if self._backend == "fused" else "vectorized"
-        )
-        stepper = stacked_stepper(
-            room.racks,
-            n_steps=n_steps,
-            dt_s=self._dt,
-            record_decimation=self._decimation,
-            violation_tolerance=self._violation_tolerance,
-            degradation_window=self._degradation_window,
-            coupling=room.coupling,
-            # run() already consulted stacked_unsupported_reason.
-            precheck=False,
-            injector=injector,
-            obs=self._obs,
-            backend=batch_backend,
-        )
-        if self._obs is not None:
-            with self._obs.span("run"):
-                stepper.run()
-        else:
-            stepper.run()
-        rack_results = split_stacked_results(
-            stepper, room.racks, self._rack_labels(label), backend=batch_backend
-        )
-        extras = {"backend": batch_backend}
-        fallbacks = stepper.controller_fallbacks
-        if not fallbacks:
-            extras["controller_backend"] = "vectorized"
-        elif stepper.n_vectorized_controllers == 0:
-            extras["controller_backend"] = "scalar"
-        else:
-            extras["controller_backend"] = "mixed"
-        return self._package(
-            rack_results,
-            label,
-            self._obs_extras(self._fault_extras(extras, injector, n_steps)),
-        )
-
-    def _run_scalar(
-        self, n_steps: int, label: str, extras: dict, injector=None
-    ) -> RoomResult:
-        room = self._room
-        trackers = [
-            DeadlineTracker(
-                tolerance=self._violation_tolerance,
-                window=self._degradation_window,
+def stacked_unsupported_reason(racks: Sequence[Rack]) -> str | None:
+    """Why these racks cannot run as one stacked batch (None = they can)."""
+    if not racks:
+        return "no racks"
+    exhaust = racks[0].exhaust
+    for r, rack in enumerate(racks[1:], start=1):
+        if not exhaust.same_parameters(rack.exhaust):
+            return (
+                f"rack {r}'s exhaust parameters differ from rack 0's; the "
+                "stacked batch shares one exhaust model"
             )
-            for _ in range(room.n_servers)
-        ]
-        steppers = [
-            ServerStepper(
-                slot.plant,
-                slot.sensor,
-                slot.workload,
-                slot.controller,
-                n_steps=n_steps,
-                dt_s=self._dt,
-                record_decimation=self._decimation,
-                tracker=tracker,
-                injector=injector,
-                server_index=index,
-                obs=self._obs,
-                # Only the last stepper commits the monitor sample (see
-                # FleetSimulator._run_scalar): rack-scope checks and the
-                # cadence advance must run once per step.
-                monitor_commit=(index == room.n_servers - 1),
-            )
-            for index, (slot, tracker) in enumerate(zip(room, trackers))
-        ]
+    return batch_unsupported_reason(
+        [slot.plant for rack in racks for slot in rack],
+        [slot.sensor for rack in racks for slot in rack],
+        coupled=True,
+    )
 
-        obs = self._obs
-        start = room.slots[0].plant.time_s
-        inlet_sums = np.zeros(room.n_servers)
-        with obs.span("run") if obs is not None else nullcontext():
-            for k in range(n_steps):
-                # Exhaust produced up to step k sets the inlets for
-                # step k+1.
-                if obs is not None:
-                    t0 = time.perf_counter()
-                if injector is not None:
-                    # Same instant the batch lane polls: the step time
-                    # the offsets computed below will be in force for.
-                    injector.poll_crac(start + (k + 1) * self._dt)
-                room.update_inlets()
-                if obs is not None:
-                    obs.phase("coupling", t0, time.perf_counter())
-                for stepper in steppers:
-                    stepper.step()
-                inlet_sums += room.inlet_temperatures_c()
-        mean_inlets = inlet_sums / n_steps
 
-        rack_results = []
-        labels = self._rack_labels(label)
-        start = 0
-        for rack, rack_label in zip(room.racks, labels):
-            stop = start + rack.n_servers
-            server_results = tuple(
-                stepper.finish(label=f"{rack_label}/{slot.name}")
-                for slot, stepper in zip(rack, steppers[start:stop])
-            )
-            rack_results.append(
-                FleetResult(
-                    server_results=server_results,
-                    mean_inlet_c=tuple(
-                        float(v) for v in mean_inlets[start:stop]
-                    ),
-                    label=rack_label,
-                    extras=dict(extras),
-                )
-            )
-            start = stop
-        return self._package(
-            rack_results,
-            label,
-            self._obs_extras(self._fault_extras(extras, injector, n_steps)),
-        )
+def run_stacked_racks(
+    racks: Sequence[Rack],
+    duration_s: float,
+    dt_s: float = 0.1,
+    record_decimation: int = 1,
+    violation_tolerance: float = 0.01,
+    degradation_window: int = 10,
+    labels: Sequence[str] | None = None,
+    backend: str = "vectorized",
+) -> list[FleetResult]:
+    """Run R independent racks as one stacked ``(R*B,)`` batch.
+
+    The racks couple block-diagonally (each only recirculates into
+    itself), so every per-rack result is bit-for-bit identical to a
+    standalone ``FleetSimulator(backend="vectorized")`` run of that
+    rack, plus a ``"stacked"`` entry in its ``extras`` describing the
+    stack it rode in.  ``backend`` names the batch lane (``"vectorized"``
+    or its alias ``"fused"``); raises
+    :class:`~repro.errors.SimulationError` when the racks cannot stack
+    (see :func:`stacked_unsupported_reason`).
+    """
+    check_batch_backend(backend)
+    reason = stacked_unsupported_reason(racks)
+    if reason is not None:
+        raise SimulationError(f"stacked batch unsupported: {reason}")
+    if labels is None:
+        labels = [f"rack{r:02d}" for r in range(len(racks))]
+    flat = Rack(
+        [slot for rack in racks for slot in rack],
+        coupling=SparseCoupling.from_racks(racks),
+        exhaust=racks[0].exhaust,
+    )
+    driver = LockstepDriver(
+        dt_s,
+        record_decimation,
+        violation_tolerance,
+        degradation_window,
+        backend,
+    )
+    results, _ = driver.run_lockstep(flat, racks, labels, duration_s, "stacked")
+    return results

@@ -30,7 +30,6 @@ from repro.fleet import FleetSimulator, build_fleet_scenario
 from repro.fleet.simulator import BACKENDS as FLEET_BACKENDS
 from repro.room import RoomSimulator, run_stacked_racks, uniform_room
 from repro.room.scenarios import ROOM_SCENARIOS, build_room_scenario
-from repro.room.simulator import BACKENDS as ROOM_BACKENDS
 from repro.sim.batch import _CHUNK_STEPS, BATCH_BACKENDS, run_batch
 
 _DT = 0.1
@@ -115,9 +114,13 @@ class TestTableThreeSchemes:
         """``"fused"`` stays an accepted alias; unknown names raise."""
         assert BATCH_BACKENDS == ARRAY_BACKENDS
         assert FLEET_BACKENDS == ("auto", "scalar") + ARRAY_BACKENDS
-        assert ROOM_BACKENDS == FLEET_BACKENDS
         with pytest.raises(SimulationError, match="unknown backend"):
             FleetSimulator(_rack("rcoord"), backend="closed_form")
+        with pytest.raises(SimulationError, match="unknown backend"):
+            RoomSimulator(
+                uniform_room(RoomConfig(n_rows=1, racks_per_row=1)),
+                backend="closed_form",
+            )
         with pytest.raises(SimulationError, match="unknown batch backend"):
             run_batch([], backend="scalar")
         with pytest.raises(SimulationError, match="unknown batch backend"):

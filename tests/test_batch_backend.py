@@ -238,9 +238,10 @@ class TestFallback:
         )
         return Rack([odd], coupling=RecirculationMatrix.decoupled(1))
 
-    def test_vectorized_falls_back_on_time_varying_ambient(self):
+    @pytest.mark.parametrize("backend", ["vectorized", "auto"])
+    def test_vectorized_falls_back_on_time_varying_ambient(self, backend):
         result = FleetSimulator(
-            self._time_varying_rack(), dt_s=_DT, backend="vectorized"
+            self._time_varying_rack(), dt_s=_DT, backend=backend
         ).run(30.0)
         assert result.extras["backend"] == "scalar"
         assert "ambient" in result.extras["fallback_reason"]

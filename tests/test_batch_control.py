@@ -27,6 +27,7 @@ from repro.core.global_controller import GlobalController
 from repro.core.rules import RuleBasedCoordinator
 from repro.fleet import FleetSimulator, Rack, build_fleet_scenario
 from repro.fleet.rack import ServerSlot
+from repro.room import run_stacked_racks
 from repro.sim.batch_control import BatchTrackerBank
 from repro.sim import (
     BatchRunSpec,
@@ -169,6 +170,28 @@ class TestMixedRack:
         ).run(_DUR)
         assert stock.extras["controller_backend"] == "vectorized"
         _assert_results_identical(stock, vec)
+
+    def test_stacked_provenance_matches_solo_runs(self):
+        """A mixed rack stacked behind a stock rack keeps its solo
+        results and provenance, plus where it rode in the stack."""
+        def racks():
+            return [_rack("rcoord", seed=2), self._mixed_rack()]
+
+        stacked = run_stacked_racks(
+            racks(), _DUR, dt_s=_DT, record_decimation=_DEC
+        )
+        for position, (rack, result) in enumerate(zip(racks(), stacked)):
+            solo = FleetSimulator(
+                rack, dt_s=_DT, record_decimation=_DEC, backend="vectorized"
+            ).run(_DUR, label=result.label)
+            _assert_results_identical(solo, result)
+            assert result.extras == {
+                **solo.extras,
+                "stacked": {"n_racks": 2, "width": 2 * _N, "position": position},
+            }
+        assert stacked[0].extras["controller_backend"] == "vectorized"
+        assert stacked[1].extras["controller_backend"] == "mixed"
+        assert list(stacked[1].extras["controller_fallbacks"]) == ["srv01"]
 
 
 class TestControllerSyncBack:

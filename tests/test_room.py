@@ -342,6 +342,23 @@ class TestStackedEquivalence:
             _assert_results_equal(rack_s, rack_v)
         assert scalar.summary() == vectorized.summary()
 
+    def test_stacked_checks_labels_before_running(self, monkeypatch):
+        """A wrong label count fails before the batch is built or run."""
+        from repro.sim.batch import BatchStepper
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the stacked batch ran")
+
+        monkeypatch.setattr(BatchStepper, "run", fail)
+        racks = [
+            homogeneous_rack(n_servers=2, duration_s=30.0, seed=seed)
+            for seed in (0, 1)
+        ]
+        with pytest.raises(SimulationError, match="need one label per rack"):
+            run_stacked_racks(
+                racks, duration_s=30.0, dt_s=0.5, labels=["only"]
+            )
+
     def test_stacked_rejects_mismatched_exhaust(self):
         a = homogeneous_rack(n_servers=2, duration_s=30.0)
         b = homogeneous_rack(
